@@ -15,8 +15,8 @@ import numpy as np
 
 from .cochains import Cochain, leibniz_delta, vertical_delta
 from .deformations import Deformation, validate_deformation
-from .errors import InputError
-from .linalg import Matrix, solve
+from .errors import InputError, InternalError
+from .linalg import solve
 from .structures import (AssocAlgebra, CourantPair, Derivation, LeibnizAlgebra,
                          commutator_derivations_basis, hemisemidirect, tensor,
                          validate_pair, zero_tensor)
@@ -136,16 +136,17 @@ def hemisemidirect_demo() -> CatalogEntry:
     k = len(ders)
     assert k == 2
     # expand each commutator of basis derivations in the computed basis
-    cols = Matrix(A.dim * A.dim, k,
-                  [[ders[j].matrix[r, s] for j in range(k)]
-                   for r in range(A.dim) for s in range(A.dim)])
+    cols = [[ders[j].matrix[r, s] for j in range(k)]
+            for r in range(A.dim) for s in range(A.dim)]
     br = np.full((k, k, k), ZERO, dtype=object)
     for i in range(k):
         for j in range(k):
             comm = np.dot(ders[j].matrix, ders[i].matrix) \
                 - np.dot(ders[i].matrix, ders[j].matrix)
-            coeffs = solve(cols, tuple(comm.reshape(-1)))
-            assert coeffs is not None  # Der(A) is closed under commutator
+            coeffs = solve(cols, tuple(comm.reshape(-1)), k)
+            if coeffs is None:
+                raise InternalError("a commutator of derivations of A is "
+                                    "not a derivation")
             for z, c in enumerate(coeffs):
                 br[i, j, z] = c
     br.setflags(write=False)

@@ -11,7 +11,10 @@
 Exit codes are a stable contract: 0 = pass, 1 = mathematical failure (a law
 fails, deformations are non-equivalent, an obstruction class does not
 vanish), 2 = input error (unreadable or malformed document, unknown catalog
-name, degree above the cap without --force).
+name, degree above the cap without --force), 3 = internal error (a
+consistency check inside cpair failed; this is a bug, not a property of
+the input).  ``cohomology`` validates the pair (and module) first and exits
+1, naming the failing law, when it is not a Courant pair.
 
 With --json every report is mirrored as a single JSON object on stdout; all
 rationals appear as exact strings.  Cochain entries are listed bracket
@@ -29,12 +32,12 @@ import sys
 import numpy as np
 
 from . import catalog, documents
-from .cohomology import column_delta_matrix, row_delta_matrix, total_complex
+from .cohomology import axis_rank, total_complex
 from .deformations import (extend, n_infinitesimal, obstruction,
                            validate_deformation,
                            equivalent_infinitesimals_differ_by_coboundary)
-from .errors import InputError, InvalidDeformation, NoInfinitesimalError
-from .linalg import rank
+from .errors import (InputError, InternalError, InvalidDeformation,
+                     NoInfinitesimalError)
 from .structures import validate_module, validate_pair
 
 DEFAULT_DEGREE_CAP = 3
@@ -135,6 +138,13 @@ def _report_payload(kind, report):
                        for c in report.checks]}
 
 
+def _pair_report(pair, module):
+    report = validate_pair(pair)
+    if module is not None:
+        report = type(report)(report.checks + validate_module(pair, module).checks)
+    return report
+
+
 def cmd_validate(args) -> int:
     doc = documents.load_file(args.file)
     if documents.is_deformation_document(doc):
@@ -142,11 +152,7 @@ def cmd_validate(args) -> int:
         report = validate_deformation(d)
         kind = "deformation"
     else:
-        pair, module = documents.pair_from_document(doc)
-        report = validate_pair(pair)
-        if module is not None:
-            mreport = validate_module(pair, module)
-            report = type(report)(report.checks + mreport.checks)
+        report = _pair_report(*documents.pair_from_document(doc))
         kind = "pair"
     lines = [str(c) for c in report.checks]
     lines.append(f"{kind} {'valid' if report.ok else 'INVALID'}")
@@ -202,6 +208,11 @@ def cmd_cohomology(args) -> int:
             f"degree {n} exceeds the cap ({cap}); the outgoing differential "
             f"is a {rows} x {cols} matrix over Q ({rows * cols} entries). "
             f"Pass --force or raise CPAIR_DEGREE_CAP to proceed")
+    report = _pair_report(pair, module)
+    if not report.ok:
+        failed = "; ".join(str(c) for c in report.checks if not c.ok)
+        print(f"error: not a Courant pair: {failed}", file=sys.stderr)
+        return 1
 
     classes = None
     if args.column == "total":
@@ -212,17 +223,9 @@ def cmd_cohomology(args) -> int:
         if args.classes:
             classes = tc.representatives(n)
     else:
-        deltan = (row_delta_matrix(n, pair, module) if args.column == "hochschild"
-                  else column_delta_matrix(n, pair, module))
-        dim = deltan.cols
-        rank_out = rank(deltan)
-        if n == 0:
-            rank_in = 0
-        else:
-            prev = (row_delta_matrix(n - 1, pair, module)
-                    if args.column == "hochschild"
-                    else column_delta_matrix(n - 1, pair, module))
-            rank_in = rank(prev)
+        dim = _space_dim(args.column, n, pair, module)
+        rank_out = axis_rank(args.column, n, pair, module)
+        rank_in = axis_rank(args.column, n - 1, pair, module) if n else 0
     ker = dim - rank_out
     hl = ker - rank_in
 
@@ -484,6 +487,9 @@ def main(argv=None) -> int:
     except (InvalidDeformation, NoInfinitesimalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

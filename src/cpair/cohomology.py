@@ -28,8 +28,8 @@ from math import prod
 import numpy as np
 
 from .cochains import Cochain, TotalCochain, _shape, total_delta
-from .errors import InputError
-from .linalg import Matrix, SpanTracker, nullspace_basis, rank_rows, solve
+from .errors import InputError, InternalError
+from .linalg import Echelon, Matrix, rank, solve
 from .structures import CourantPair, CPModule, adjoint_module
 
 ZERO = Fraction(0)
@@ -38,6 +38,21 @@ ONE = Fraction(1)
 _Block = namedtuple("_Block", "p q shape strides offset size")
 
 _Tables = namedtuple("_Tables", "mul_inv bracket_inv muT")
+
+
+def _sparse_lines(count, entries):
+    """``count`` {index: value} dicts from (line, index, value) entries,
+    duplicates added: the rows of a matrix, or with swapped triplets its
+    columns."""
+    lines = [{} for _ in range(count)]
+    for i, j, v in entries:
+        d = lines[i]
+        nv = d[j] + v if j in d else v
+        if nv:
+            d[j] = nv
+        else:
+            d.pop(j, None)
+    return lines
 
 
 @lru_cache(maxsize=None)
@@ -200,9 +215,9 @@ class GradedBasisIndex:
 class TotalComplex:
     """All matrix-level data of one pair's total complex, built lazily.
 
-    Everything derived (indices, triplets, matrices, ranks, kernels) is
-    cached on the instance; instances themselves are shared through
-    ``total_complex``.
+    Everything derived (indices, triplets, sparse rows and columns, one
+    echelon factorization per differential, kernels) is cached on the
+    instance; instances themselves are shared through ``total_complex``.
     """
 
     def __init__(self, pair: CourantPair, module: CPModule = None):
@@ -210,9 +225,9 @@ class TotalComplex:
         self.module = module or adjoint_module(pair)
         self._index = {}
         self._trips = {}
+        self._rows = {}
         self._cols = {}
-        self._mats = {}
-        self._ranks = {}
+        self._echelons = {}
         self._kernels = {}
 
     # -- coordinates -------------------------------------------------------
@@ -245,24 +260,17 @@ class TotalComplex:
             self._trips[n] = trips
         return self._trips[n]
 
-    def matrix(self, n: int) -> Matrix:
-        if n not in self._mats:
-            self._mats[n] = Matrix.from_triplets(
-                self.dim(n + 1), self.dim(n), self.triplets(n))
-        return self._mats[n]
+    def rows(self, n: int):
+        """Per-row {col: value} dicts of delta^n, for elimination."""
+        if n not in self._rows:
+            self._rows[n] = _sparse_lines(self.dim(n + 1), self.triplets(n))
+        return self._rows[n]
 
     def columns(self, n: int):
         """Per-column {row: value} dicts of delta^n, for sparse application."""
         if n not in self._cols:
-            cols = [{} for _ in range(self.dim(n))]
-            for r, c, v in self.triplets(n):
-                d = cols[c]
-                nv = d.get(r, ZERO) + v
-                if nv:
-                    d[r] = nv
-                else:
-                    del d[r]
-            self._cols[n] = cols
+            self._cols[n] = _sparse_lines(
+                self.dim(n), ((c, r, v) for r, c, v in self.triplets(n)))
         return self._cols[n]
 
     def apply_flat(self, n: int, vec):
@@ -279,24 +287,18 @@ class TotalComplex:
 
     # -- ranks and spaces ----------------------------------------------------
 
+    def echelon(self, n: int) -> Echelon:
+        """The row echelon form of delta^n, shared by its rank and kernel."""
+        if n not in self._echelons:
+            self._echelons[n] = Echelon(self.dim(n), self.rows(n))
+        return self._echelons[n]
+
     def rank(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n not in self._ranks:
-            rows = [{} for _ in range(self.dim(n + 1))]
-            for r, c, v in self.triplets(n):
-                d = rows[r]
-                nv = d.get(c, ZERO) + v
-                if nv:
-                    d[c] = nv
-                else:
-                    del d[c]
-            self._ranks[n] = rank_rows(rows, self.dim(n))
-        return self._ranks[n]
+        return self.echelon(n).rank if n >= 0 else 0
 
     def kernel(self, n: int):
         if n not in self._kernels:
-            self._kernels[n] = nullspace_basis(self.matrix(n))
+            self._kernels[n] = self.echelon(n).kernel()
         return self._kernels[n]
 
     def cohomology_dim(self, n: int) -> int:
@@ -305,28 +307,23 @@ class TotalComplex:
     def representatives(self, n: int):
         """One total cochain per cohomology class generator in degree n.
 
-        Kernel vectors are filtered through a span tracker seeded with the
-        coboundary image, so the returned cochains are independent modulo
-        coboundaries; no canonical-form claim beyond that.
+        Kernel vectors are kept when they enlarge an echelon seeded with the
+        columns of delta^{n-1}, so the returned cochains are independent
+        modulo coboundaries; no canonical-form claim beyond that.
         """
         want = self.cohomology_dim(n)
         if want == 0:
             return []
-        tracker = SpanTracker(self.dim(n))
-        if n > 0:
-            for col in self.columns(n - 1):
-                if col:
-                    v = [ZERO] * self.dim(n)
-                    for r, x in col.items():
-                        v[r] = x
-                    tracker.add(v)
+        span = Echelon(self.dim(n), self.columns(n - 1) if n > 0 else ())
         reps = []
         for v in self.kernel(n):
-            if tracker.add(v):
+            if span.add(v):
                 reps.append(self.index(n).unflatten(v))
                 if len(reps) == want:
                     break
-        assert len(reps) == want
+        if len(reps) != want:
+            raise InternalError(f"{len(reps)} independent degree-{n} classes "
+                                f"found, but dim H^{n} = {want}")
         return reps
 
     # -- membership ----------------------------------------------------------
@@ -342,7 +339,7 @@ class TotalComplex:
         if c.n == 0:
             return None
         vec = self.index(c.n).flatten(c)
-        sol = solve(self.matrix(c.n - 1), vec)
+        sol = solve(self.rows(c.n - 1), vec, self.dim(c.n - 1))
         return None if sol is None else self.index(c.n - 1).unflatten(sol)
 
 
@@ -367,7 +364,8 @@ def total_space_dim(n: int, pair: CourantPair, module: CPModule = None) -> int:
 
 def total_delta_matrix(n: int, pair: CourantPair, module: CPModule = None) -> Matrix:
     """The matrix of delta_tot: C^n_tot -> C^{n+1}_tot in flat coordinates."""
-    return total_complex(pair, module).matrix(n)
+    tc = total_complex(pair, module)
+    return Matrix.from_triplets(tc.dim(n + 1), tc.dim(n), tc.triplets(n))
 
 
 def cohomology_dim(n: int, pair: CourantPair, module: CPModule = None) -> int:
@@ -395,7 +393,8 @@ def is_coboundary(c: TotalCochain, pair: CourantPair, module: CPModule = None):
 # CLI's column views)
 # ---------------------------------------------------------------------------
 
-def _block_matrix(pair, module, p, q, entries_gen, tp, tq) -> Matrix:
+def _block_triplets(pair, module, p, q, entries_gen, tp, tq):
+    """(rows, cols, triplets) of the block differential C^{p,q} -> C^{tp,tq}."""
     sshape = _shape(p, q, pair, module)
     tshape = _shape(tp, tq, pair, module)
     strides = [1] * len(tshape)
@@ -405,7 +404,19 @@ def _block_matrix(pair, module, p, q, entries_gen, tp, tq) -> Matrix:
     for col, key in enumerate(itertools.product(*[range(s) for s in sshape])):
         for tkey, c in entries_gen(pair, module, p, q, key):
             trips.append((sum(s * k for s, k in zip(strides, tkey)), col, c))
-    return Matrix.from_triplets(prod(tshape), prod(sshape), trips)
+    return prod(tshape), prod(sshape), trips
+
+
+def _axis_triplets(column, n, pair, module):
+    """The degree-n differential of the q = 0 row ("hochschild") or of the
+    p = 0 column ("leibniz"), as (rows, cols, triplets)."""
+    if n < 0:
+        raise InputError(f"{'p' if column == 'hochschild' else 'q'} "
+                         f"must be nonnegative")
+    module = module or adjoint_module(pair)
+    if column == "hochschild":
+        return _block_triplets(pair, module, n, 0, _up_entries, n + 1, 0)
+    return _block_triplets(pair, module, 0, n, _down_entries, 0, n + 1)
 
 
 def row_delta_matrix(p: int, pair: CourantPair, module: CPModule = None) -> Matrix:
@@ -415,10 +426,7 @@ def row_delta_matrix(p: int, pair: CourantPair, module: CPModule = None) -> Matr
     bar-type coboundary at p >= 1; for p >= 1 it is the classical complex
     of the associative algebra with coefficients in M.
     """
-    if p < 0:
-        raise InputError("p must be nonnegative")
-    module = module or adjoint_module(pair)
-    return _block_matrix(pair, module, p, 0, _up_entries, p + 1, 0)
+    return Matrix.from_triplets(*_axis_triplets("hochschild", p, pair, module))
 
 
 def column_delta_matrix(q: int, pair: CourantPair, module: CPModule = None) -> Matrix:
@@ -427,7 +435,11 @@ def column_delta_matrix(q: int, pair: CourantPair, module: CPModule = None) -> M
     Carries the same (-1)^(q+1) prefactor the total complex uses, i.e. it is
     that unit times the classical bracket-algebra coboundary.
     """
-    if q < 0:
-        raise InputError("q must be nonnegative")
-    module = module or adjoint_module(pair)
-    return _block_matrix(pair, module, 0, q, _down_entries, 0, q + 1)
+    return Matrix.from_triplets(*_axis_triplets("leibniz", q, pair, module))
+
+
+def axis_rank(column: str, n: int, pair: CourantPair, module: CPModule = None) -> int:
+    """Rank of the degree-n ``row_delta_matrix`` (column "hochschild") or
+    ``column_delta_matrix`` (column "leibniz"), eliminated sparsely."""
+    rows, cols, trips = _axis_triplets(column, n, pair, module)
+    return rank(_sparse_lines(rows, trips), cols)

@@ -29,7 +29,6 @@ import numpy as np
 from .cochains import Cochain, TotalCochain, total_delta
 from .cohomology import total_complex
 from .errors import InputError, InvalidDeformation, NoInfinitesimalError
-from .linalg import solve
 from .structures import (CourantPair, LawCheck, ValidationReport, _law,
                          adjoint_module)
 
@@ -547,11 +546,9 @@ def extend(d: Deformation):
     obstruction class is nonzero, i.e. no extension exists.
     """
     theta = obstruction(d)
-    tc = total_complex(d.pair)
-    sol = solve(tc.matrix(2), tc.index(3).flatten(theta.total()))
-    if sol is None:
+    top = total_complex(d.pair).is_coboundary(theta.total())
+    if top is None:
         return None
-    top = tc.index(2).unflatten(sol)
     out = d.with_top(top.component(2), top.component(1), top.component(0))
     assert validate_deformation(out).ok
     return out

@@ -23,3 +23,8 @@ class NoInfinitesimalError(ValueError):
 class InvalidDeformation(ValueError):
     """An operation that presupposes the deformation equations was invoked
     on a deformation that does not satisfy them."""
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a bug in cpair, not a property
+    of the input.  The CLI maps this to exit code 3."""

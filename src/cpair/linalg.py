@@ -1,12 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is a pure function on immutable data, and every
-result is exact: scalars are `fractions.Fraction`, elimination is plain
-Gaussian elimination over Q, and there is no floating point anywhere.
+Everything in this module is exact: scalars are `fractions.Fraction`,
+elimination is plain Gaussian elimination over Q, and there is no floating
+point anywhere.
 
-The elimination core works on rows stored as sparse ``{col: value}`` dicts,
-which keeps the kernel fast on the large, very sparse differential matrices
-produced elsewhere in the package while staying trivially auditable.
+One elimination engine, `Echelon`, serves rank, kernel, solve and span
+membership.  It keeps sparse ``{col: value}`` rows in row echelon form and
+grows by insertion: a new row is reduced against the existing pivot rows
+only, and what is left becomes a pivot row at its leftmost column.  Rows
+are never reduced back into earlier pivots, so a rank needs forward
+elimination only; the reduced row echelon form (RREF) is built only when a
+kernel is asked for, and a solution only back-substitutes.
+
+Pivots are always leftmost columns, so the pivot columns and the RREF
+depend only on the row space, not on the order rows are inserted in.  The
+kernel basis and the free-variables-zero solution are therefore canonical.
 """
 
 from __future__ import annotations
@@ -65,10 +73,6 @@ class Matrix:
         return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets) -> "Matrix":
         """Build from an iterable of (row, col, value); duplicate positions add."""
         grid = [[ZERO] * cols for _ in range(rows)]
@@ -78,12 +82,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def row(self, i: int):
-        return self.entries[i]
-
-    def col(self, j: int):
-        return tuple(r[j] for r in self.entries)
 
     def mul_vec(self, v):
         """Matrix-vector product; v has length cols, result has length rows."""
@@ -129,187 +127,151 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination core (sparse dict rows)
+# the elimination engine (sparse dict rows)
 # ---------------------------------------------------------------------------
 
-def _sparse_rows(m: Matrix):
-    return [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+def _sparse(row, ncols: int) -> dict:
+    """A fresh {col: value} copy of a dict row or a dense sequence."""
+    if isinstance(row, dict):
+        items = row.items()
+        if items and not 0 <= min(row) <= max(row) < ncols:
+            raise InputError(f"row has a column outside 0..{ncols - 1}")
+    else:
+        if len(row) != ncols:
+            raise InputError(f"row of length {len(row)}, expected {ncols}")
+        items = enumerate(row)
+    return {j: _as_scalar(x) for j, x in items if x}
 
 
-def _rref(rows, ncols):
-    """Reduce a list of {col: value} rows in place to reduced row echelon form.
-
-    Returns the list of (pivot_col, row_dict) in pivot order.  Columns >= ncols
-    (augmentation columns) are carried along but never chosen as pivots.
-    """
-    pivots = []
-    remaining = [r for r in rows if r]
-    for col in range(ncols):
-        # find a row with a nonzero entry in this column
-        hit = None
-        for idx, r in enumerate(remaining):
-            if col in r:
-                hit = idx
-                break
-        if hit is None:
-            continue
-        piv = remaining.pop(hit)
-        inv = ONE / piv[col]
-        if inv != 1:
-            piv = {j: x * inv for j, x in piv.items()}
-        # eliminate from every other row (both directions -> reduced form)
-        for bucket in (remaining, [r for _, r in pivots]):
-            for r in bucket:
-                c = r.get(col)
-                if c:
-                    for j, x in piv.items():
-                        nv = r.get(j, ZERO) - c * x
-                        if nv:
-                            r[j] = nv
-                        else:
-                            r.pop(j, None)
-        remaining = [r for r in remaining if r]
-        pivots.append((col, piv))
-        if not remaining:
-            break
-    return pivots, remaining
+def _subtract(r: dict, c, p: dict) -> None:
+    """r -= c * p in place, dropping the entries that cancel."""
+    for j, x in p.items():
+        nv = r[j] - c * x if j in r else -c * x
+        if nv:
+            r[j] = nv
+        else:
+            del r[j]
 
 
-def rank_rows(rows, ncols: int) -> int:
-    """Rank of a system given as sparse {col: value} rows.
+class Echelon:
+    """The row echelon form over Q of sparse rows with ``ncols`` columns.
 
-    The row dicts are consumed (eliminated in place); pass copies if you
-    need them afterwards.  This entry point lets callers with an already
-    sparse matrix skip the dense representation entirely.
-    """
-    pivots, _ = _rref(rows, ncols)
-    return len(pivots)
-
-
-def rank(m: Matrix) -> int:
-    """Rank over Q, by exact Gaussian elimination."""
-    return rank_rows(_sparse_rows(m), m.cols)
-
-
-def nullspace_basis(m: Matrix):
-    """A basis of ker(m), as a list of length-cols tuples.
-
-    The basis has one vector per free column: that coordinate is 1 and the
-    pivot coordinates are back-substituted, so m @ v = 0 exactly for each v.
-    """
-    pivots, _ = _rref(_sparse_rows(m), m.cols)
-    pivot_cols = {col for col, _ in pivots}
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        v = [ZERO] * m.cols
-        v[free] = ONE
-        for col, r in pivots:
-            c = r.get(free)
-            if c:
-                v[col] = -c
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(m: Matrix, b):
-    """Some exact solution x of m @ x = b, or None if the system is inconsistent.
-
-    Inconsistency is a normal outcome (used for coboundary membership), not an
-    error.  Free variables are set to zero.
-    """
-    if len(b) != m.rows:
-        raise InputError(f"rhs length {len(b)} != rows {m.rows}")
-    aug = m.cols  # index used for the augmentation column
-    rows = []
-    for i, r in enumerate(m.entries):
-        d = {j: x for j, x in enumerate(r) if x}
-        bi = _as_scalar(b[i])
-        if bi:
-            d[aug] = bi
-        rows.append(d)
-    pivots, remaining = _rref(rows, m.cols)
-    # a leftover nonzero row can only touch the augmentation column
-    for r in remaining:
-        if r.get(aug):
-            return None
-    x = [ZERO] * m.cols
-    for col, r in pivots:
-        x[col] = r.get(aug, ZERO)
-    return tuple(x)
-
-
-class SpanTracker:
-    """Incrementally maintained row space in reduced echelon form.
-
-    ``add`` returns True when the vector enlarged the span; ``contains``
-    answers membership without modifying the span.  Used to pick cohomology
-    class representatives and to certify linear independence modulo a span.
+    ``rows`` (``{col: value}`` dicts or dense sequences) go in shortest
+    first; ``add`` inserts one more row and says whether it enlarged the
+    span.  Each pivot row is stored with its leftmost entry scaled to 1.
     """
 
-    def __init__(self, length: int):
-        self.length = length
-        self._rows = {}  # pivot col -> reduced row dict
-
-    def _reduce(self, v):
-        r = {j: _as_scalar(x) for j, x in enumerate(v) if x}
-        # pivot rows have all entries at columns >= their pivot, so a single
-        # pass over the pivot columns in increasing order fully reduces r
-        for col in sorted(self._rows):
-            c = r.get(col)
-            if c:
-                for j, x in self._rows[col].items():
-                    nv = r.get(j, ZERO) - c * x
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-        return r
-
-    def contains(self, v) -> bool:
-        if len(v) != self.length:
-            raise InputError("SpanTracker: vector of mismatched length")
-        return not self._reduce(v)
-
-    def add(self, v) -> bool:
-        if len(v) != self.length:
-            raise InputError("SpanTracker: vector of mismatched length")
-        r = self._reduce(v)
-        if not r:
-            return False
-        col = min(r)
-        inv = ONE / r[col]
-        if inv != 1:
-            r = {j: x * inv for j, x in r.items()}
-        # keep earlier rows reduced against the new pivot
-        for other in self._rows.values():
-            c = other.get(col)
-            if c:
-                for j, x in r.items():
-                    nv = other.get(j, ZERO) - c * x
-                    if nv:
-                        other[j] = nv
-                    else:
-                        other.pop(j, None)
-        self._rows[col] = r
-        return True
+    def __init__(self, ncols: int, rows=()):
+        self.ncols = ncols
+        self._pivots = {}  # leading column -> row with a leading 1 there
+        for r in sorted((_sparse(r, ncols) for r in rows), key=len):
+            self._insert(r)
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
+
+    def _reduce(self, r: dict):
+        """Reduce r in place by the pivot rows until its leftmost column is
+        not a pivot column; return that column, or None if r vanishes."""
+        pivots = self._pivots
+        while r:
+            col = min(r)
+            p = pivots.get(col)
+            if p is None:
+                return col
+            _subtract(r, r[col], p)
+        return None
+
+    def _insert(self, r: dict) -> bool:
+        col = self._reduce(r)
+        if col is None:
+            return False
+        inv = ONE / r[col]
+        self._pivots[col] = r if inv == 1 else {j: x * inv for j, x in r.items()}
+        return True
+
+    def add(self, row) -> bool:
+        """Insert a row; True iff it was independent of the rows so far."""
+        return self._insert(_sparse(row, self.ncols))
+
+    def _rref(self) -> dict:
+        """{pivot column: row of the reduced row echelon form}."""
+        red = {}
+        # each reduced row has no entry in a later pivot column, so one pass
+        # over a row's pivot columns clears them all
+        for col in sorted(self._pivots, reverse=True):
+            r = dict(self._pivots[col])
+            for k in [k for k in r if k in red]:
+                _subtract(r, r[k], red[k])
+            red[col] = r
+        return red
+
+    def kernel(self):
+        """A basis of the null space, as length-ncols tuples.
+
+        One vector per free column: that coordinate is 1 and the pivot
+        coordinates are back-substituted from the RREF.
+        """
+        red = self._rref()
+        basis = {f: [ZERO] * self.ncols for f in range(self.ncols) if f not in red}
+        for f, v in basis.items():
+            v[f] = ONE
+        for col, r in red.items():
+            for j, x in r.items():
+                if j != col:
+                    basis[j][col] = -x
+        return [tuple(v) for v in basis.values()]
 
 
-def in_span(vectors, v) -> bool:
-    """True iff v lies in the Q-span of the given vectors."""
-    vecs = [tuple(_as_scalar(x) for x in w) for w in vectors]
-    target = tuple(_as_scalar(x) for x in v)
-    for w in vecs:
-        if len(w) != len(target):
-            raise InputError("in_span: vectors of mismatched length")
-    if not vecs:
-        return all(not x for x in target)
-    # columns of the matrix are the spanning vectors
-    m = Matrix(len(target), len(vecs),
-               [[vecs[k][i] for k in range(len(vecs))] for i in range(len(target))])
-    return solve(m, target) is not None
+def _system(m, ncols):
+    """(rows, ncols) of a Matrix, or of sparse rows with an explicit width."""
+    if isinstance(m, Matrix):
+        return m.entries, m.cols
+    if ncols is None:
+        raise InputError("sparse rows need an explicit column count")
+    return m, ncols
+
+
+def rank(m, ncols: int = None) -> int:
+    """Rank over Q of a Matrix, or of ``{col: value}`` rows with ncols columns."""
+    rows, ncols = _system(m, ncols)
+    return Echelon(ncols, rows).rank
+
+
+def nullspace_basis(m, ncols: int = None):
+    """A basis of ker(m), as a list of length-cols tuples (see Echelon.kernel),
+    so m @ v = 0 exactly for each v."""
+    rows, ncols = _system(m, ncols)
+    return Echelon(ncols, rows).kernel()
+
+
+def solve(m, b, ncols: int = None):
+    """Some exact solution x of m @ x = b, or None if the system is inconsistent.
+
+    ``m`` is a Matrix, or ``{col: value}`` rows with ncols columns.
+    Inconsistency is a normal outcome (used for coboundary membership), not
+    an error.  Free variables are set to zero.
+    """
+    rows, ncols = _system(m, ncols)
+    if len(b) != len(rows):
+        raise InputError(f"rhs length {len(b)} != rows {len(rows)}")
+    aug = ncols  # b rides along as one more column, right of all the others
+    augmented = []
+    for r, bi in zip(rows, b):
+        r = _sparse(r, ncols)
+        bi = _as_scalar(bi)
+        if bi:
+            r[aug] = bi
+        augmented.append(r)
+    ech = Echelon(ncols + 1, augmented)
+    pivots = ech._pivots
+    if aug in pivots:  # some row reduced to 0 = nonzero
+        return None
+    # back-substitute with the free variables at zero
+    x = [ZERO] * ncols
+    for col in sorted(pivots, reverse=True):
+        r = pivots[col]
+        x[col] = r.get(aug, ZERO) - sum(
+            (v * x[k] for k, v in r.items() if col < k < aug), ZERO)
+    return tuple(x)

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .linalg import Matrix, nullspace_basis
+from .linalg import nullspace_basis
 
 ZERO = Fraction(0)
 
@@ -54,14 +54,6 @@ def zero_tensor(shape) -> np.ndarray:
     arr = np.full(shape, ZERO, dtype=object)
     arr.setflags(write=False)
     return arr
-
-
-def vec_add(u, v):
-    return u + v
-
-
-def vec_scale(c, u):
-    return c * u if c != 1 else u
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +154,6 @@ class CourantPair:
             if not isinstance(d, Derivation) or d.dim != self.A.dim:
                 raise InputError("each anchor component must be a Derivation of A")
         object.__setattr__(self, "mu", tuple(self.mu))
-
-    def anchor_apply(self, x: int, v):
-        """mu(e_x) applied to the coefficient vector v."""
-        return self.mu[x].apply(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,7 +661,7 @@ def commutator_derivations_basis(A: AssocAlgebra):
             if c:
                 row[j * d + s] -= c
         rows.append(row)
-    basis = nullspace_basis(Matrix(d * d * d, d * d, rows))
+    basis = nullspace_basis(rows, d * d)
     out = []
     for v in basis:
         mat = np.empty((d, d), dtype=object)

@@ -133,6 +133,14 @@ def rank(rows):
     return r
 
 
+def independent_modulo(image, vectors):
+    """Whether the vectors are linearly independent modulo span(image).
+
+    Both are lists of dense coordinate lists of one common length.
+    """
+    return rank(list(image) + list(vectors)) == rank(image) + len(vectors)
+
+
 def complex_cohomology_dim(out_matrix, in_matrix, dim):
     """dim ker(out) - rank(in) for consecutive coboundaries."""
     ker = dim - rank(out_matrix)

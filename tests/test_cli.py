@@ -1,5 +1,5 @@
 """Command-line behavior: reports, flags, and the exit-code contract
-(0 = pass, 1 = mathematical failure, 2 = input error)."""
+(0 = pass, 1 = mathematical failure, 2 = input error, 3 = internal error)."""
 
 import json
 import subprocess
@@ -112,6 +112,30 @@ def test_degree_cap_refusal_and_force(heis_file, capsys, monkeypatch):
                  "hochschild"]) == 0
     monkeypatch.setenv("CPAIR_DEGREE_CAP", "not-a-number")
     assert main(["cohomology", heis_file, "--degree", "1"]) == 2
+
+
+def test_cohomology_refuses_an_invalid_pair(tmp_path, heis, capsys):
+    """Swapping mu[0] and mu[1] breaks the anchor homomorphism; the
+    cohomology of such data is meaningless (it came out negative)."""
+    doc = documents.pair_to_document(heis)
+    doc["mu"][0], doc["mu"][1] = doc["mu"][1], doc["mu"][0]
+    path = write_doc(tmp_path, "swapped.json", doc)
+    assert main(["validate", path]) == 1
+    capsys.readouterr()
+    for column in ("total", "leibniz", "hochschild"):
+        assert main(["cohomology", path, "--degree", "2", "--column", column,
+                     "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "anchor homomorphism: FAIL at (e1, e3)" in captured.err
+
+
+def test_internal_error_is_exit_3(heis_file, capsys, monkeypatch):
+    from cpair.cohomology import TotalComplex
+    monkeypatch.setattr(TotalComplex, "kernel", lambda self, n: [])
+    assert main(["cohomology", heis_file, "--degree", "2", "--classes"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal error" in captured.err
 
 
 def test_classes_only_for_total(heis_file, capsys):

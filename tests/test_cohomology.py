@@ -8,12 +8,13 @@ import pytest
 
 import oracles
 from conftest import rand_total
+from cpair import catalog
 from cpair.cochains import Cochain, TotalCochain, total_delta
-from cpair.cohomology import (cohomology_basis, cohomology_dim,
+from cpair.cohomology import (TotalComplex, cohomology_basis, cohomology_dim,
                               column_delta_matrix, is_coboundary, is_cocycle,
                               row_delta_matrix, total_complex,
                               total_delta_matrix, total_space_dim)
-from cpair.errors import InputError
+from cpair.errors import InputError, InternalError
 from cpair.linalg import Matrix, rank
 from cpair.structures import (AssocAlgebra, CourantPair, LeibnizAlgebra,
                               tensor, zero_tensor)
@@ -36,9 +37,8 @@ def test_heisenberg_degree2_cohomology(heis):
 
 def test_matrix_composition_vanishes(heis, dual, hemi):
     for pair, tops in ((heis, 3), (dual, 3), (hemi, 2)):
-        tc = total_complex(pair)
         for n in range(tops):
-            m = tc.matrix(n + 1).matmul(tc.matrix(n))
+            m = total_delta_matrix(n + 1, pair).matmul(total_delta_matrix(n, pair))
             assert m.is_zero(), (pair.A.basis_labels, n)
 
 
@@ -47,9 +47,10 @@ def test_matrix_agrees_with_direct_evaluation(heis):
     tc = total_complex(heis)
     for n in (0, 1, 2):
         idx_n, idx_up = tc.index(n), tc.index(n + 1)
+        m = total_delta_matrix(n, heis)
         for _ in range(20):
             c = rand_total(rng, heis, n)
-            via_matrix = tc.matrix(n).mul_vec(idx_n.flatten(c))
+            via_matrix = m.mul_vec(idx_n.flatten(c))
             assert list(via_matrix) == list(idx_up.flatten(total_delta(c, heis)))
 
 
@@ -70,13 +71,9 @@ def test_representatives_are_independent_noncoboundary_cocycles(heis):
         assert tc.is_cocycle(r)
         assert tc.is_coboundary(r) is None
     # independence modulo coboundaries: no nontrivial combination is exact
-    from cpair.linalg import SpanTracker
+    image = total_delta_matrix(1, heis).transpose().entries
     idx = tc.index(2)
-    span = SpanTracker(tc.dim(2))
-    for j in range(tc.dim(1)):
-        span.add([tc.matrix(1).entry(i, j) for i in range(tc.dim(2))])
-    for r in reps:
-        assert span.add(idx.flatten(r))
+    assert oracles.independent_modulo(image, [idx.flatten(r) for r in reps])
 
 
 def test_is_coboundary_returns_preimage(heis):
@@ -154,3 +151,24 @@ def test_is_cocycle_arguments(heis):
     z = TotalCochain.zero(2, heis)
     assert is_cocycle(z, heis)
     assert is_coboundary(z, heis) is not None
+
+
+def test_representatives_count_mismatch_is_internal_error(heis, monkeypatch):
+    """A kernel that cannot supply dim H classes trips an explicit check,
+    which ``python -O`` keeps (an assert would be stripped)."""
+    tc = TotalComplex(heis)
+    monkeypatch.setattr(tc, "kernel", lambda n: [])
+    with pytest.raises(InternalError, match="dim H"):
+        tc.representatives(2)
+
+
+@pytest.mark.parametrize("name, n, pinned", [
+    ("heisenberg", 5, (4374, 938, 3376, 60)),
+    ("hemisemidirect_demo", 4, (5573, 890, 4651, 32)),
+])
+def test_pinned_high_degree(name, n, pinned):
+    """(dim C^n, rank d^{n-1}, rank d^n, dim H^n) in the top degrees the
+    catalog pairs reach in seconds; a private complex frees its matrices."""
+    tc = TotalComplex(catalog.get(name).pair)
+    got = (tc.dim(n), tc.rank(n - 1), tc.rank(n), tc.cohomology_dim(n))
+    assert got == pinned

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from cpair.linalg import (Matrix, SpanTracker, in_span, nullspace_basis,
-                          rank, rank_rows, solve, _sparse_rows)
+import oracles
+from cpair.errors import InputError
+from cpair.linalg import Echelon, Matrix, nullspace_basis, rank, solve
 
 F = Fraction
 
@@ -17,7 +20,7 @@ def test_rank_hand_examples():
     assert rank(M([[1, 2], [2, 4]])) == 1
     assert rank(M([[1, 0], [0, 1]])) == 2
     assert rank(Matrix.zeros(3, 4)) == 0
-    assert rank(Matrix.identity(5)) == 5
+    assert rank(M([[int(i == j) for j in range(5)] for i in range(5)])) == 5
     assert rank(M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
 
 
@@ -50,21 +53,35 @@ def test_from_triplets_accumulates_duplicates():
 def test_span_tracker_needs_chained_elimination():
     """Reduction must follow fill-in created by earlier pivots, not just the
     vector's original support."""
-    t = SpanTracker(3)
-    assert t.add([F(1), F(1), F(0)])
-    assert t.add([F(0), F(1), F(1)])
+    e = Echelon(3)
+    assert e.add([F(1), F(1), F(0)])
+    assert e.add([F(0), F(1), F(1)])
     # reducing [1,0,-1]: pivot 0 leaves [0,-1,-1], pivot 1 clears the rest
-    assert t.contains([F(1), F(0), F(-1)])
-    assert not t.contains([F(1), F(0), F(0)])
-    assert t.rank == 2
-    assert not t.add([F(2), F(1), F(-1)])
-    assert t.add([F(1), F(0), F(0)])
-    assert t.rank == 3
+    assert not e.add([F(1), F(0), F(-1)])
+    assert e.rank == 2
+    assert not e.add({0: F(2), 1: F(1), 2: F(-1)})
+    assert e.add([F(1), F(0), F(0)])
+    assert e.rank == 3
 
 
 def test_rank_rows_matches_dense_rank():
     m = M([[1, 2, 3], [0, 0, 4], [2, 4, 6]])
-    assert rank_rows(_sparse_rows(m), m.cols) == rank(m) == 2
+    rows = [{0: F(1), 1: F(2), 2: F(3)}, {2: F(4)}, {0: F(2), 1: F(4), 2: F(6)}]
+    assert rank(rows, 3) == rank(m) == 2
+    assert nullspace_basis(rows, 3) == nullspace_basis(m)
+    b = [F(1), F(2), F(2)]
+    assert solve(rows, b, 3) == solve(m, b)
+
+
+def test_rejects_malformed_rows():
+    with pytest.raises(InputError):
+        rank([{3: F(1)}], 3)
+    with pytest.raises(InputError):
+        Echelon(3).add([F(1), F(2)])
+    with pytest.raises(InputError):
+        rank([{0: 0.5}], 1)
+    with pytest.raises(InputError):
+        rank([{0: F(1)}])
 
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -74,7 +91,9 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 def matrices(draw, max_dim=5):
     r = draw(st.integers(0, max_dim))
     c = draw(st.integers(0, max_dim))
-    data = draw(st.lists(st.lists(small_fracs, min_size=c, max_size=c),
+    # mostly zeros, so that ranks below full and free columns are common
+    entry = st.one_of(st.just(F(0)), small_fracs)
+    data = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                          min_size=r, max_size=r))
     return Matrix.from_rows(data) if r else Matrix.zeros(0, c)
 
@@ -107,13 +126,79 @@ def test_solve_recovers_constructed_rhs(m, data):
                 max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_span_tracker_agrees_with_in_span(vecs):
-    t = SpanTracker(4)
+    """`Echelon.add` accepts exactly the vectors outside the span of those
+    accepted before."""
+    e = Echelon(4)
     accepted = []
     for v in vecs:
-        if t.add(v):
+        grew = e.add(v)
+        assert grew == oracles.independent_modulo(accepted, [v])
+        if grew:
             accepted.append(v)
-    assert t.rank == len(accepted)
-    assert t.rank == rank(Matrix.from_rows(accepted)) if accepted else t.rank == 0
-    for v in vecs:
-        assert t.contains(v)
-        assert in_span(accepted, v)
+    assert e.rank == len(accepted) == oracles.rank(vecs)
+
+
+# ---------------------------------------------------------------------------
+# the engine against sympy's DomainMatrix over QQ, an independent RREF
+# ---------------------------------------------------------------------------
+
+def _domain(rows, cols):
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in rows],
+                        (len(rows), cols), QQ)
+
+
+def _sympy_rref(m: Matrix, b=None):
+    """(RREF rows as Fractions, pivot columns) of m, or of [m | b]."""
+    if b is None:
+        dm = _domain(m.entries, m.cols)
+    else:
+        dm = _domain([list(r) + [x] for r, x in zip(m.entries, b)], m.cols + 1)
+    red, pivots = dm.rref()
+    return [[F(int(x.numerator), int(x.denominator)) for x in r]
+            for r in red.to_list()], pivots
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_matches_sympy(m):
+    assert rank(m) == _domain(m.entries, m.cols).rank()
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_kernel_is_the_rref_nullspace_basis(m):
+    red, pivots = _sympy_rref(m)
+    want = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [F(0)] * m.cols
+        v[free] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][free]
+        want.append(tuple(v))
+    assert nullspace_basis(m) == want
+
+
+@given(matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_matches_sympy(m, data):
+    b = [data.draw(st.one_of(st.just(F(0)), small_fracs)) for _ in range(m.rows)]
+    red, pivots = _sympy_rref(m, b)
+    got = solve(m, b)
+    if m.cols in pivots:  # a pivot in the right-hand side: inconsistent
+        assert got is None
+        return
+    want = [F(0)] * m.cols
+    for i, p in enumerate(pivots):
+        want[p] = red[i][m.cols]
+    assert got == tuple(want)
+
+
+@given(matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_kernel_does_not_depend_on_row_order(m, rng):
+    rows = list(m.entries)
+    rng.shuffle(rows)
+    assert nullspace_basis(rows, m.cols) == nullspace_basis(m)
+
