@@ -21,12 +21,12 @@ from .cohomology import (GradedBasisIndex, TotalComplex, cohomology_basis,
 from .deformations import (Deformation, Equivalence, Obstruction,
                            RigidityReport, apply_equivalence,
                            equivalent_infinitesimals_differ_by_coboundary,
-                           extend, infinitesimal, n_infinitesimal,
+                           extend, extend_to, infinitesimal, n_infinitesimal,
                            obstruction, obstruction_is_cocycle,
                            rigidity_probe, structure_terms,
                            validate_deformation)
-from .errors import (InputError, InvalidDeformation, NoInfinitesimalError,
-                     NotComposable, WrongDifferential)
+from .errors import (InputError, InternalError, InvalidDeformation,
+                     NoInfinitesimalError, NotComposable, WrongDifferential)
 from .structures import (AssocAlgebra, CourantPair, CPModule, Derivation,
                          LawCheck, LeibnizAlgebra, ValidationReport,
                          adjoint_module, commutator_derivations_basis,
@@ -46,9 +46,9 @@ __all__ = [
     "structure_terms", "Deformation", "validate_deformation", "infinitesimal",
     "n_infinitesimal", "Equivalence", "apply_equivalence",
     "equivalent_infinitesimals_differ_by_coboundary", "Obstruction",
-    "obstruction", "obstruction_is_cocycle", "extend", "RigidityReport",
-    "rigidity_probe",
+    "obstruction", "obstruction_is_cocycle", "extend", "extend_to",
+    "RigidityReport", "rigidity_probe",
     "InputError", "WrongDifferential", "NotComposable",
-    "NoInfinitesimalError", "InvalidDeformation",
+    "NoInfinitesimalError", "InvalidDeformation", "InternalError",
     "__version__",
 ]

@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cochains import Cochain, leibniz_delta, vertical_delta
+from .cochains import Cochain, TotalCochain
+from .cohomology import total_complex
 from .deformations import Deformation, validate_deformation
 from .errors import InputError, InternalError
 from .linalg import solve
@@ -32,6 +33,16 @@ class CatalogEntry:
     featured_cochains: dict = field(default_factory=dict)
     featured_deformations: dict = field(default_factory=dict)
     notes: str = ""
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise InternalError(f"catalog: {what}")
+
+
+def _check_valid(report, what: str) -> None:
+    if not report.ok:
+        raise InternalError(f"catalog: {what}: {report.failures[0]}")
 
 
 def _truncated_line(n: int, labels) -> AssocAlgebra:
@@ -69,7 +80,7 @@ def heisenberg() -> CatalogEntry:
     euler = Derivation(tensor([[0, 0, 0], [0, 1, 0], [0, 0, 2]], (3, 3)))
     nil = Derivation(zero_tensor((3, 3)))
     pair = CourantPair(A, L, (euler, nil, nil))
-    assert validate_pair(pair).ok
+    _check_valid(validate_pair(pair), "heisenberg is not a Courant pair")
 
     e2 = [0, 1, 0]
     phis = {
@@ -78,11 +89,14 @@ def heisenberg() -> CatalogEntry:
         "phi3": Cochain.from_entries(0, 2, pair, {(2, 0): e2}),
     }
     deformations = {}
+    tc = total_complex(pair)
     for name, phi in phis.items():
-        assert leibniz_delta(phi, pair).is_zero()
-        assert vertical_delta(phi, pair).is_zero()
+        closed = TotalCochain(2, (Cochain.zero(2, 0, pair),
+                                  Cochain.zero(1, 1, pair), phi))
+        _check(tc.is_cocycle(closed), f"featured cochain {name} is not closed")
         d = Deformation.from_terms(pair, {1: (None, None, phi)})
-        assert validate_deformation(d).ok
+        _check_valid(validate_deformation(d),
+                     f"featured deformation {name} is invalid")
         deformations[name] = d
     return CatalogEntry(
         name="heisenberg",
@@ -108,10 +122,10 @@ def dual_numbers_line() -> CatalogEntry:
     A = _truncated_line(2, ("1", "x"))
     L = LeibnizAlgebra(0, zero_tensor((0, 0, 0)))
     pair = CourantPair(A, L, ())
-    assert validate_pair(pair).ok
+    _check_valid(validate_pair(pair), "dual_numbers_line is not a Courant pair")
     alpha1 = Cochain.from_entries(2, 0, pair, {(1, 1): [1, 0]})
     d = Deformation.from_terms(pair, {1: (alpha1, None, None)})
-    assert validate_deformation(d).ok
+    _check_valid(validate_deformation(d), "featured deformation alpha1 is invalid")
     return CatalogEntry(
         name="dual_numbers_line",
         pair=pair,
@@ -134,7 +148,7 @@ def hemisemidirect_demo() -> CatalogEntry:
     A = _truncated_line(3, ("1", "x", "x^2"))
     ders = commutator_derivations_basis(A)
     k = len(ders)
-    assert k == 2
+    _check(k == 2, f"Der(A) has dimension {k}, expected 2")
     # expand each commutator of basis derivations in the computed basis
     cols = [[ders[j].matrix[r, s] for j in range(k)]
             for r in range(A.dim) for s in range(A.dim)]
@@ -159,10 +173,9 @@ def hemisemidirect_demo() -> CatalogEntry:
     mus = tuple(ders) + tuple(Derivation(zero_tensor((A.dim, A.dim)))
                               for _ in range(A.dim))
     pair = CourantPair(A, L, mus)
-    assert validate_pair(pair).ok
-    for v in range(A.dim):
-        for w in range(A.dim):
-            assert all(not c for c in L.bracket[k + v, k + w])
+    _check_valid(validate_pair(pair), "hemisemidirect_demo is not a Courant pair")
+    _check(not any(L.bracket[k:, k:].reshape(-1)),
+           "two elements of the A summand bracket to a nonzero element")
     return CatalogEntry(
         name="hemisemidirect_demo",
         pair=pair,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import catalog, documents
 from .cohomology import axis_rank, total_complex
-from .deformations import (extend, n_infinitesimal, obstruction,
+from .deformations import (extend_to, n_infinitesimal, obstruction,
                            validate_deformation,
                            equivalent_infinitesimals_differ_by_coboundary)
 from .errors import (InputError, InternalError, InvalidDeformation,
@@ -306,37 +306,31 @@ def _deform_extend(d, args) -> int:
         raise InputError("extend requires --to K")
     if args.to <= d.order:
         raise InputError(f"--to must exceed the current order ({d.order})")
-    steps = []
-    lines = []
-    current = d
-    while current.order < args.to:
-        ext = extend(current)
-        if ext is None:
-            theta = obstruction(current).total()
-            order = current.order + 1
-            lines.append(f"obstruction class at order {order} does not vanish;"
-                         f" extension stops.  Class representative:")
-            lines.extend(_total_lines(theta, d.pair, None, _DEGREE3))
-            payload = {"command": "deform", "subcommand": "extend",
-                       "from_order": d.order, "to": args.to, "ok": False,
-                       "stopped_at": order, "steps": steps,
-                       "obstruction": _total_json(theta)}
-            _emit(args, lines, payload)
-            return 1
-        current = ext
-        top = current.coefficient(current.order)
-        steps.append({"order": current.order,
+    # extend_to checks every new order and raises InternalError if one fails
+    reached, stop = extend_to(d, args.to)
+    steps, lines = [], []
+    for order in range(d.order + 1, reached.order + 1):
+        top = reached.coefficient(order)
+        steps.append({"order": order,
                       "top_is_zero": top.is_zero(),
                       "top": _total_json(top)})
-        lines.append(f"order {current.order}: extended "
+        lines.append(f"order {order}: extended "
                      f"({'zero' if top.is_zero() else 'nonzero'} top coefficient)")
-    ok = validate_deformation(current).ok
-    lines.append(f"extended to order {current.order}; "
-                 f"deformation equations hold at every order: {str(ok).lower()}")
     payload = {"command": "deform", "subcommand": "extend",
-               "from_order": d.order, "to": args.to, "ok": ok, "steps": steps}
+               "from_order": d.order, "to": args.to, "ok": stop is None,
+               "steps": steps}
+    if stop is None:
+        lines.append(f"extended to order {reached.order}; "
+                     f"deformation equations hold at every order: true")
+    else:
+        theta = stop.total()
+        lines.append(f"obstruction class at order {reached.order + 1} does "
+                     f"not vanish; extension stops.  Class representative:")
+        lines.extend(_total_lines(theta, d.pair, None, _DEGREE3))
+        payload.update(stopped_at=reached.order + 1,
+                       obstruction=_total_json(theta))
     _emit(args, lines, payload)
-    return 0 if ok else 1
+    return 0 if stop is None else 1
 
 
 def _deform_equivalent(d, args) -> int:

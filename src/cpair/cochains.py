@@ -192,18 +192,8 @@ def _apply_rows(rows, vec, out_dim):
 
 def _right_act_value(module, vec, z, p):
     """[value, e_z] on a value vector: M_right for p > 0, P_right for p = 0."""
-    if p > 0:
-        rows = module.M_right
-        out = np.full(module.M_dim, ZERO, dtype=object)
-        for m, c in enumerate(vec):
-            if c:
-                out = out + c * rows[m, z]
-        return out
-    out = np.full(module.P_dim, ZERO, dtype=object)
-    for r, c in enumerate(vec):
-        if c:
-            out = out + c * module.P_right[r, z]
-    return out
+    rows = module.M_right if p > 0 else module.P_right
+    return _apply_rows(rows[:, z], vec, module.M_dim if p > 0 else module.P_dim)
 
 
 def _left_act_value(module, z, vec, p):
@@ -241,11 +231,7 @@ def hochschild_delta(f: Cochain, pair: CourantPair, module: CPModule = None) -> 
             for s, c in enumerate(prod):
                 if c:
                     acc = acc + (sign * c) * f.coeffs[bt[:i - 1] + (s,) + bt[i + 1:] + xt]
-        val = f.coeffs[bt[:p] + xt]
-        tail = np.full(dM, ZERO, dtype=object)
-        for m, c in enumerate(val):
-            if c:
-                tail = tail + c * module.right_act[m, bt[p]]
+        tail = _apply_rows(module.right_act[:, bt[p]], f.coeffs[bt[:p] + xt], dM)
         out[key] = acc + last_sign * tail
     return Cochain(p + 1, q, out)
 
@@ -263,13 +249,7 @@ def vertical_delta(psi: Cochain, pair: CourantPair, module: CPModule = None) -> 
     dA, dL, dM = pair.A.dim, pair.L.dim, module.M_dim
     out = np.empty(_shape(1, q, pair, module), dtype=object)
     for key in itertools.product(*([range(dA)] + [range(dL)] * q)):
-        a, xt = key[0], key[1:]
-        vec = psi.coeffs[xt]
-        acc = np.full(dM, ZERO, dtype=object)
-        for r, c in enumerate(vec):
-            if c:
-                acc = acc + c * module.phi[r, a]
-        out[key] = acc
+        out[key] = _apply_rows(module.phi[:, key[0]], psi.coeffs[key[1:]], dM)
     return Cochain(1, q, out)
 
 

@@ -11,10 +11,12 @@ Assembly is by scatter: for each basis cochain of the source we enumerate
 the finitely many basis cochains of the target it hits, using inverted
 structure-constant tables (which pairs multiply onto a given basis element,
 which brackets produce it, which elements the anchor maps onto it).  This
-keeps assembly proportional to the number of nonzero matrix entries.  The
-matrix route is independent of the direct evaluation in ``cochains`` except
-for sharing the structure tensors, which is what makes the agreement tests
-between the two meaningful.
+keeps assembly proportional to the number of nonzero matrix entries.  Run
+on the nonzero coordinates of one cochain (``TotalComplex.delta``), the
+same scatter is the production closedness check (``is_cocycle``, Theta,
+the catalog), with no matrix built.  The direct evaluators in ``cochains``
+share only the structure tensors with it and stay the independent
+cross-check in the tests and in the benchmark's correctness gate.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from math import prod
 
 import numpy as np
 
-from .cochains import Cochain, TotalCochain, _shape, total_delta
+from .cochains import Cochain, TotalCochain, _shape
 from .errors import InputError, InternalError
 from .linalg import Echelon, Matrix, rank, solve
 from .structures import CourantPair, CPModule, adjoint_module
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _Block = namedtuple("_Block", "p q shape strides offset size")
 
@@ -102,14 +103,14 @@ def _up_entries(pair, module, p, q, key):
             if c:
                 yield (b0,) + at + xt + (w,), c
     for k in range(p):
-        sign = -ONE if k % 2 == 0 else ONE  # (-1)^(k+1), k 0-based
+        neg = k % 2 == 0  # sign (-1)^(k+1), k 0-based
         for u, vv, c in tabs.mul_inv[at[k]]:
-            yield at[:k] + (u, vv) + at[k + 1:] + xt + (v,), sign * c
-    last_sign = ONE if (p + 1) % 2 == 0 else -ONE
+            yield at[:k] + (u, vv) + at[k + 1:] + xt + (v,), -c if neg else c
+    last_neg = p % 2 == 0  # sign (-1)^(p+1)
     for bp in range(dA):
         for w, c in enumerate(module.right_act[v, bp]):
             if c:
-                yield at + (bp,) + xt + (w,), last_sign * c
+                yield at + (bp,) + xt + (w,), -c if last_neg else c
 
 
 def _down_entries(pair, module, p, q, key):
@@ -121,34 +122,36 @@ def _down_entries(pair, module, p, q, key):
     dL = pair.L.dim
     at, xt, v = key[:p], key[p:p + q], key[p + q]
     tabs = _inverse_tables(pair)
-    eps = ONE if (q + 1) % 2 == 0 else -ONE
+    eps_neg = q % 2 == 0  # the prefactor (-1)^(q+1)
     left = module.M_left if p else module.P_left
     right = module.M_right if p else module.P_right
     for z in range(dL):
         for i in range(1, q + 2):
             if i <= q:
-                sign = ONE if (i - 1) % 2 == 0 else -ONE
+                neg = i % 2 == 0  # (-1)^(i-1)
                 yt = xt[:i - 1] + (z,) + xt[i - 1:]
                 vec = left[z, v]
-                corr = -sign
+                corr_neg = not neg
             else:
-                sign = ONE if (q + 1) % 2 == 0 else -ONE
+                neg = q % 2 == 0  # (-1)^(q+1)
                 yt = xt + (z,)
                 vec = right[v, z]
-                corr = sign
+                corr_neg = neg
+            neg, corr_neg = neg != eps_neg, corr_neg != eps_neg  # times eps
             for w, c in enumerate(vec):
                 if c:
-                    yield at + yt + (w,), eps * sign * c
+                    yield at + yt + (w,), -c if neg else c
             for k in range(p):
                 for u, c in tabs.muT[z][at[k]]:
-                    yield at[:k] + (u,) + at[k + 1:] + yt + (v,), eps * corr * c
+                    yield (at[:k] + (u,) + at[k + 1:] + yt + (v,),
+                           -c if corr_neg else c)
     for i in range(1, q + 2):
-        isign = -ONE if i % 2 else ONE
+        neg = (i % 2 == 1) != eps_neg  # (-1)^i times the prefactor
         for j in range(i + 1, q + 2):
             for u, w, c in tabs.bracket_inv[xt[j - 2]]:
                 yt = list(xt[:i - 1]) + [u] + list(xt[i - 1:])
                 yt[j - 1] = w
-                yield at + tuple(yt) + (v,), eps * isign * c
+                yield at + tuple(yt) + (v,), -c if neg else c
 
 
 class GradedBasisIndex:
@@ -242,23 +245,42 @@ class TotalComplex:
 
     # -- the differential --------------------------------------------------
 
+    def _scatter(self, b: _Block, dst: GradedBasisIndex, key):
+        """(row, value) entries of delta applied to the basis cochain ``key``
+        of source block b; rows are flat coordinates of ``dst``.  The down
+        part carries the total-complex sign (-1)^p."""
+        for tkey, c in _up_entries(self.pair, self.module, b.p, b.q, key):
+            yield dst.flat_index(b.p + 1, tkey), c
+        odd = b.p % 2
+        for tkey, c in _down_entries(self.pair, self.module, b.p, b.q, key):
+            yield dst.flat_index(b.p, tkey), -c if odd else c
+
     def triplets(self, n: int):
         """Sparse (row, col, value) entries of delta^n; duplicates add."""
         if n not in self._trips:
             src, dst = self.index(n), self.index(n + 1)
             trips = []
             for b in src.blocks:
-                if b.size == 0:
-                    continue
-                down_sign = ONE if b.p % 2 == 0 else -ONE
                 ranges = [range(s) for s in b.shape]
                 for col, key in enumerate(itertools.product(*ranges), start=b.offset):
-                    for tkey, c in _up_entries(self.pair, self.module, b.p, b.q, key):
-                        trips.append((dst.flat_index(b.p + 1, tkey), col, c))
-                    for tkey, c in _down_entries(self.pair, self.module, b.p, b.q, key):
-                        trips.append((dst.flat_index(b.p, tkey), col, down_sign * c))
+                    trips.extend((r, col, c) for r, c in self._scatter(b, dst, key))
             self._trips[n] = trips
         return self._trips[n]
+
+    def delta(self, c: TotalCochain) -> dict:
+        """delta_tot(c) as {flat degree-(n+1) coordinate: value}, zeros
+        dropped, scattered from the nonzero coordinates of c only; no
+        matrix is built."""
+        src, dst = self.index(c.n), self.index(c.n + 1)
+        vec = src.flatten(c)
+        out = {}
+        for b in src.blocks:
+            keys = itertools.product(*[range(s) for s in b.shape])
+            for key, x in zip(keys, vec[b.offset:b.offset + b.size]):
+                if x:
+                    for r, v in self._scatter(b, dst, key):
+                        out[r] = out.get(r, ZERO) + v * x
+        return {r: v for r, v in out.items() if v}
 
     def rows(self, n: int):
         """Per-row {col: value} dicts of delta^n, for elimination."""
@@ -329,7 +351,7 @@ class TotalComplex:
     # -- membership ----------------------------------------------------------
 
     def is_cocycle(self, c: TotalCochain) -> bool:
-        return total_delta(c, self.pair, self.module).is_zero()
+        return not self.delta(c)
 
     def is_coboundary(self, c: TotalCochain):
         """A preimage of c under the total differential, or None.
@@ -379,7 +401,8 @@ def cohomology_basis(n: int, pair: CourantPair, module: CPModule = None):
 
 
 def is_cocycle(c: TotalCochain, pair: CourantPair, module: CPModule = None) -> bool:
-    """Whether total_delta(c) vanishes exactly (direct evaluation, no matrix)."""
+    """Whether total_delta(c) vanishes exactly (scattered from the nonzero
+    coordinates of c, no matrix)."""
     return total_complex(pair, module).is_cocycle(c)
 
 

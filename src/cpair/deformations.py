@@ -16,20 +16,28 @@ equations, with signs normalised so that extending the deformation to order
 N+1 means solving delta_tot(alpha_{N+1}, mu_{N+1}, lambda_{N+1}) = Theta on
 the nose.  Theta is always a total 3-cocycle; the solver therefore succeeds
 exactly when its class vanishes.
+
+One kernel (``_defects``) evaluates the equations, for validation (all
+i + j = n) and for Theta (i, j >= 1), over nonzero entries only.  The
+extension loop ``extend_to`` validates its input once, then checks only
+each new order (lower orders involve only unchanged coefficients) and
+delta Theta = 0 on Theta's support; a failed check is ``InternalError``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cochains import Cochain, TotalCochain, total_delta
+from .cochains import Cochain, TotalCochain
 from .cohomology import total_complex
-from .errors import InputError, InvalidDeformation, NoInfinitesimalError
-from .structures import (CourantPair, LawCheck, ValidationReport, _law,
+from .errors import (InputError, InternalError, InvalidDeformation,
+                     NoInfinitesimalError)
+from .structures import (CourantPair, ValidationReport, _law,
                          adjoint_module)
 
 ZERO = Fraction(0)
@@ -132,118 +140,110 @@ class Deformation:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-level evaluation helpers (all take raw coefficient tensors)
+# the order-n equations, contracted over nonzero entries
 # ---------------------------------------------------------------------------
 
-def _alpha_lv(C, vec, b):
-    """alpha(vec, e_b) for a (2,0) tensor C."""
-    out = None
-    for s, c in enumerate(vec):
-        if c:
-            out = c * C[s, b] if out is None else out + c * C[s, b]
-    return out if out is not None else np.full(C.shape[2], ZERO, dtype=object)
+_Sparse = namedtuple("_Sparse", "entries by0 by1")
+
+#: The four equations in report order, each with the number of bracket
+#: arguments that lead its keys (the rest are algebra arguments).
+_EQUATIONS = (("associativity", 0), ("anchor into derivations", 1),
+              ("anchor homomorphism", 2), ("leibniz identity", 3))
 
 
-def _alpha_rv(C, a, vec):
-    """alpha(e_a, vec)."""
-    out = None
-    for s, c in enumerate(vec):
-        if c:
-            out = c * C[a, s] if out is None else out + c * C[a, s]
-    return out if out is not None else np.full(C.shape[2], ZERO, dtype=object)
+def _sparse(c: Cochain) -> _Sparse:
+    """The nonzero entries (k0, k1, w, value) of a two-argument coefficient
+    tensor, also grouped by first argument as k0 -> [(k1, w, value)] and by
+    second argument as k1 -> [(k0, w, value)]."""
+    entries, by0, by1 = [], {}, {}
+    keys = itertools.product(*[range(s) for s in c.coeffs.shape])
+    for (k0, k1, w), v in zip(keys, c.coeffs.ravel().tolist()):
+        if v:
+            entries.append((k0, k1, w, v))
+            by0.setdefault(k0, []).append((k1, w, v))
+            by1.setdefault(k1, []).append((k0, w, v))
+    return _Sparse(entries, by0, by1)
 
 
-def _mu_xv(C, x, vec):
-    """mu(e_x, vec) for a (1,1) tensor stored as C[a, x, :]."""
-    out = None
-    for s, c in enumerate(vec):
-        if c:
-            out = c * C[s, x] if out is None else out + c * C[s, x]
-    return out if out is not None else np.full(C.shape[2], ZERO, dtype=object)
+def _terms(d: Deformation):
+    """Sparse views of every coefficient: [alphas], [mus], [lambdas]."""
+    return tuple([_sparse(c) for c in cs] for cs in (d.alphas, d.mus, d.lambdas))
 
 
-def _mu_va(C, vec, a):
-    """mu(vec, e_a) with an L-vector in the first slot."""
-    out = None
-    for y, c in enumerate(vec):
-        if c:
-            out = c * C[a, y] if out is None else out + c * C[a, y]
-    return out if out is not None else np.full(C.shape[2], ZERO, dtype=object)
+def _defects(terms, n, lo=0):
+    """The coefficients of t^n in the four equations, as {key: {w: value}}.
 
+    Each is summed over i + j = n with i, j >= lo:
 
-def _lam_lv(C, vec, y):
-    out = None
-    for s, c in enumerate(vec):
-        if c:
-            out = c * C[s, y] if out is None else out + c * C[s, y]
-    return out if out is not None else np.full(C.shape[2], ZERO, dtype=object)
+      associativity (a, b, c):  alpha_i(alpha_j(a,b), c) - alpha_i(a, alpha_j(b,c))
+      derivations   (x, a, b):  mu_i(x, alpha_j(a,b)) - alpha_j(mu_i(x,a), b)
+                                - alpha_j(a, mu_i(x,b))
+      homomorphism  (x, y, a):  mu_i(x, mu_j(y,a)) - mu_i(y, mu_j(x,a))
+                                - mu_i(lambda_j(x,y), a)
+      leibniz       (x, y, z):  lam_i(x, lam_j(y,z)) - lam_i(lam_j(x,y), z)
+                                - lam_i(y, lam_j(x,z))
 
-
-def _lam_rv(C, x, vec):
-    out = None
-    for s, c in enumerate(vec):
-        if c:
-            out = c * C[x, s] if out is None else out + c * C[x, s]
-    return out if out is not None else np.full(C.shape[2], ZERO, dtype=object)
-
-
-def _is_zero_vec(v) -> bool:
-    return all(not x for x in v)
-
-
-def _label(labels, idx):
-    return "(" + ", ".join(labels[i] for i in idx) + ")"
-
-
-# ---------------------------------------------------------------------------
-# the order-n equations
-# ---------------------------------------------------------------------------
-
-def _assoc_defect(d: "Deformation", n, a, b, c, lo=0):
-    """sum over i+j=n (i,j >= lo) of alpha_i(alpha_j(a,b), c) - alpha_i(a, alpha_j(b,c))."""
-    dA = d.pair.A.dim
-    acc = np.full(dA, ZERO, dtype=object)
+    Only products of nonzero entries are formed: each inner entry meets the
+    outer entries indexed by the slot it feeds.  mu is stored A-argument
+    first, so its by0 groups by the algebra argument.  Values that cancel
+    stay in the tables as zeros.
+    """
+    alphas, mus, lams = terms
+    assoc, der, hom, leib = (defaultdict(lambda: defaultdict(int)) for _ in range(4))
     for i in range(lo, n - lo + 1):
         j = n - i
-        Ci, Cj = d.alphas[i].coeffs, d.alphas[j].coeffs
-        acc = acc + _alpha_lv(Ci, Cj[a, b], c) - _alpha_rv(Ci, a, Cj[b, c])
-    return acc
+        Ai, Aj, Mi, Mj, Li, Lj = alphas[i], alphas[j], mus[i], mus[j], lams[i], lams[j]
+        for a, b, s, u in Aj.entries:
+            for c, w, v in Ai.by0.get(s, ()):
+                assoc[a, b, c][w] += u * v
+            for x, w, v in Mi.by0.get(s, ()):
+                der[x, a, b][w] += u * v
+        for b, c, s, u in Aj.entries:
+            for a, w, v in Ai.by1.get(s, ()):
+                assoc[a, b, c][w] -= u * v
+        for a, x, s, u in Mi.entries:
+            for b, w, v in Aj.by0.get(s, ()):
+                der[x, a, b][w] -= u * v
+            for a2, w, v in Aj.by1.get(s, ()):
+                der[x, a2, a][w] -= u * v
+        for a, y, s, u in Mj.entries:
+            for x, w, v in Mi.by0.get(s, ()):
+                hom[x, y, a][w] += u * v
+                hom[y, x, a][w] -= u * v
+        for x, y, z, u in Lj.entries:
+            for a, w, v in Mi.by1.get(z, ()):
+                hom[x, y, a][w] -= u * v
+            for z2, w, v in Li.by0.get(z, ()):
+                leib[x, y, z2][w] -= u * v
+        for y, z, s, u in Lj.entries:
+            for x, w, v in Li.by1.get(s, ()):
+                leib[x, y, z][w] += u * v
+                leib[y, x, z][w] -= u * v
+    return assoc, der, hom, leib
 
 
-def _derivation_defect(d: "Deformation", n, x, a, b, lo=0):
-    """sum of mu_i(x, alpha_j(a,b)) - alpha_j(mu_i(x,a), b) - alpha_j(a, mu_i(x,b))."""
-    dA = d.pair.A.dim
-    acc = np.full(dA, ZERO, dtype=object)
-    for i in range(lo, n - lo + 1):
-        j = n - i
-        Mi, Cj = d.mus[i].coeffs, d.alphas[j].coeffs
-        acc = acc + _mu_xv(Mi, x, Cj[a, b]) \
-            - _alpha_lv(Cj, Mi[a, x], b) - _alpha_rv(Cj, a, Mi[b, x])
-    return acc
+def _witness(pair, key, nl):
+    """"(x, y; a)": the nl bracket arguments of key, then the algebra ones."""
+    parts = (", ".join(pair.L.basis_labels[k] for k in key[:nl]),
+             ", ".join(pair.A.basis_labels[k] for k in key[nl:]))
+    return "(" + "; ".join(part for part in parts if part) + ")"
 
 
-def _anchor_defect(d: "Deformation", n, x, y, a, lo=0):
-    """sum of mu_i(x, mu_j(y,a)) - mu_i(y, mu_j(x,a)) - mu_i(lambda_j(x,y), a)."""
-    dA = d.pair.A.dim
-    acc = np.full(dA, ZERO, dtype=object)
-    for i in range(lo, n - lo + 1):
-        j = n - i
-        Mi, Mj, Lj = d.mus[i].coeffs, d.mus[j].coeffs, d.lambdas[j].coeffs
-        acc = acc + _mu_xv(Mi, x, Mj[a, y]) - _mu_xv(Mi, y, Mj[a, x]) \
-            - _mu_va(Mi, Lj[x, y], a)
-    return acc
+def _order_checks(terms, n, pair):
+    """The four report lines of order n; a witness is the first key, in
+    argument order, whose defect does not vanish."""
+    checks = []
+    for (name, nl), table in zip(_EQUATIONS, _defects(terms, n)):
+        bad = [key for key, vec in table.items() if any(vec.values())]
+        checks.append(_law(f"order {n} {name}",
+                           _witness(pair, min(bad), nl) if bad else None))
+    return checks
 
 
-def _leibniz_defect(d: "Deformation", n, x, y, z, lo=0):
-    """sum of lam_i(x, lam_j(y,z)) - lam_i(lam_j(x,y), z) - lam_i(y, lam_j(x,z))."""
-    dL = d.pair.L.dim
-    acc = np.full(dL, ZERO, dtype=object)
-    for i in range(lo, n - lo + 1):
-        j = n - i
-        Li, Lj = d.lambdas[i].coeffs, d.lambdas[j].coeffs
-        acc = acc + _lam_rv(Li, x, Lj[y, z]) - _lam_lv(Li, Lj[x, y], z) \
-            - _lam_rv(Li, y, Lj[x, z])
-    return acc
+def _report(d: Deformation, terms) -> ValidationReport:
+    return ValidationReport(tuple(
+        check for n in range(d.order + 1)
+        for check in _order_checks(terms, n, d.pair)))
 
 
 def validate_deformation(d: Deformation) -> ValidationReport:
@@ -253,44 +253,7 @@ def validate_deformation(d: Deformation) -> ValidationReport:
     the first basis tuple where the coefficient of t^n does not vanish.
     Order 0 restates the pair's own laws and passes whenever the pair does.
     """
-    dA, dL = d.pair.A.dim, d.pair.L.dim
-    la, ll = d.pair.A.basis_labels, d.pair.L.basis_labels
-    checks = []
-    for n in range(d.order + 1):
-        wit = None
-        for a, b, c in itertools.product(range(dA), repeat=3):
-            if not _is_zero_vec(_assoc_defect(d, n, a, b, c)):
-                wit = _label(la, (a, b, c))
-                break
-        checks.append(_law(f"order {n} associativity", wit))
-
-        wit = None
-        for x in range(dL):
-            for a, b in itertools.product(range(dA), repeat=2):
-                if not _is_zero_vec(_derivation_defect(d, n, x, a, b)):
-                    wit = f"({ll[x]}; {la[a]}, {la[b]})"
-                    break
-            if wit:
-                break
-        checks.append(_law(f"order {n} anchor into derivations", wit))
-
-        wit = None
-        for x, y in itertools.product(range(dL), repeat=2):
-            for a in range(dA):
-                if not _is_zero_vec(_anchor_defect(d, n, x, y, a)):
-                    wit = f"({ll[x]}, {ll[y]}; {la[a]})"
-                    break
-            if wit:
-                break
-        checks.append(_law(f"order {n} anchor homomorphism", wit))
-
-        wit = None
-        for x, y, z in itertools.product(range(dL), repeat=3):
-            if not _is_zero_vec(_leibniz_defect(d, n, x, y, z)):
-                wit = _label(ll, (x, y, z))
-                break
-        checks.append(_law(f"order {n} leibniz identity", wit))
-    return ValidationReport(tuple(checks))
+    return _report(d, _terms(d))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +435,7 @@ class Obstruction:
     """The degree-3 obstruction cochain of an order-N deformation.
 
     Components: theta_A (3,0), theta1 (2,1), theta2 (1,2), theta_L (0,3);
-    always a total 3-cocycle (asserted at construction).
+    always a total 3-cocycle (checked at construction).
     """
 
     theta_A: Cochain
@@ -487,55 +450,84 @@ class Obstruction:
         return self.total().is_zero()
 
 
-def _require_valid(d: Deformation) -> None:
-    rep = validate_deformation(d)
+def _valid_terms(d: Deformation):
+    """The sparse coefficients of d, refusing d unless it validates."""
+    terms = _terms(d)
+    rep = _report(d, terms)
     if not rep.ok:
         raise InvalidDeformation(
             "obstruction of an invalid deformation is undefined; first failure: "
             + str(rep.failures[0]))
+    return terms
 
 
-def _theta(d: Deformation) -> TotalCochain:
+def _theta(d: Deformation, terms=None) -> TotalCochain:
     """The cross-term sums at order N+1 (i, j >= 1), as a degree-3 cochain.
 
     Signs are arranged so a valid one-step extension (top, next coefficients)
     satisfies delta_tot(top) = Theta exactly; each component is the defect
     shape of the matching compatibility equation.
     """
-    pair = d.pair
-    dA, dL = pair.A.dim, pair.L.dim
-    n = d.order + 1
-    tA = np.full((dA, dA, dA, dA), ZERO, dtype=object)
-    for a, b, c in itertools.product(range(dA), repeat=3):
-        tA[a, b, c] = _assoc_defect(d, n, a, b, c, lo=1)
-    t1 = np.full((dA, dA, dL, dA), ZERO, dtype=object)
-    for a, b in itertools.product(range(dA), repeat=2):
-        for x in range(dL):
-            t1[a, b, x] = _derivation_defect(d, n, x, a, b, lo=1)
-    t2 = np.full((dA, dL, dL, dA), ZERO, dtype=object)
-    for a in range(dA):
-        for x, y in itertools.product(range(dL), repeat=2):
-            t2[a, x, y] = _anchor_defect(d, n, x, y, a, lo=1)
-    tL = np.full((dL, dL, dL, dL), ZERO, dtype=object)
-    for x, y, z in itertools.product(range(dL), repeat=3):
-        tL[x, y, z] = _leibniz_defect(d, n, x, y, z, lo=1)
-    return TotalCochain(3, (Cochain(3, 0, tA), Cochain(2, 1, t1),
-                            Cochain(1, 2, t2), Cochain(0, 3, tL)))
+    dA, dL = d.pair.A.dim, d.pair.L.dim
+    assoc, der, hom, leib = _defects(terms or _terms(d), d.order + 1, lo=1)
+    parts = ((3, 0, assoc, lambda a, b, c: (a, b, c)),
+             (2, 1, der, lambda x, a, b: (a, b, x)),
+             (1, 2, hom, lambda x, y, a: (a, x, y)),
+             (0, 3, leib, lambda x, y, z: (x, y, z)))
+    comps = []
+    for p, q, table, place in parts:
+        arr = np.full((dA,) * p + (dL,) * q + (dA if p else dL,), ZERO, dtype=object)
+        for key, vec in table.items():
+            for w, v in vec.items():
+                arr[place(*key) + (w,)] = v
+        comps.append(Cochain(p, q, arr))
+    return TotalCochain(3, tuple(comps))
+
+
+def _closed_theta(d: Deformation, terms) -> TotalCochain:
+    """Theta, after checking delta_tot(Theta) = 0 on its support."""
+    theta = _theta(d, terms)
+    if not total_complex(d.pair).is_cocycle(theta):
+        raise InternalError(f"the order-{d.order + 1} obstruction of a valid "
+                            f"deformation is not a total cocycle")
+    return theta
 
 
 def obstruction(d: Deformation) -> Obstruction:
     """The obstruction to extending d one order; refuses invalid deformations."""
-    _require_valid(d)
-    t = _theta(d)
-    # executable theorem: the obstruction is closed for every valid deformation
-    assert total_delta(t, d.pair).is_zero()
-    return Obstruction(*t.components)
+    return Obstruction(*_closed_theta(d, _valid_terms(d)).components)
 
 
 def obstruction_is_cocycle(d: Deformation) -> bool:
     """Whether the assembled obstruction is delta_tot-closed (true for valid d)."""
-    _require_valid(d)
-    return total_delta(_theta(d), d.pair).is_zero()
+    return total_complex(d.pair).is_cocycle(_theta(d, _valid_terms(d)))
+
+
+def extend_to(d: Deformation, order: int):
+    """Extend d one order at a time up to ``order``.
+
+    Returns (reached, stop): the deformation reached and, when it falls
+    short of ``order``, the Obstruction whose class does not vanish there
+    (else None).  d is validated once (InvalidDeformation if it fails).
+    After each step only the equations of the new order are checked: those
+    of lower orders involve only coefficients the step did not change.  A
+    failed check, or an obstruction that is not closed, is InternalError.
+    """
+    terms = _valid_terms(d)
+    tc = total_complex(d.pair)
+    while d.order < order:
+        theta = _closed_theta(d, terms)
+        top = tc.is_coboundary(theta)
+        if top is None:
+            return d, Obstruction(*theta.components)
+        d = d.with_top(top.component(2), top.component(1), top.component(0))
+        for sparse, coeffs in zip(terms, (d.alphas, d.mus, d.lambdas)):
+            sparse.append(_sparse(coeffs[-1]))
+        failed = [c for c in _order_checks(terms, d.order, d.pair) if not c.ok]
+        if failed:
+            raise InternalError(f"the extension to order {d.order} breaks the "
+                                f"deformation equations: {failed[0]}")
+    return d, None
 
 
 def extend(d: Deformation):
@@ -545,13 +537,8 @@ def extend(d: Deformation):
     solution works and the first one found is returned.  None means the
     obstruction class is nonzero, i.e. no extension exists.
     """
-    theta = obstruction(d)
-    top = total_complex(d.pair).is_coboundary(theta.total())
-    if top is None:
-        return None
-    out = d.with_top(top.component(2), top.component(1), top.component(0))
-    assert validate_deformation(out).ok
-    return out
+    reached, stop = extend_to(d, d.order + 1)
+    return None if stop is not None else reached
 
 
 # ---------------------------------------------------------------------------
@@ -585,5 +572,6 @@ def rigidity_probe(pair: CourantPair) -> RigidityReport:
     """
     tc = total_complex(pair)
     reps = tuple(tc.representatives(2))
-    assert all(tc.is_cocycle(r) for r in reps)
+    if not all(tc.is_cocycle(r) for r in reps):
+        raise InternalError("a degree-2 class representative is not a cocycle")
     return RigidityReport(tc.cohomology_dim(2), reps)

@@ -11,10 +11,15 @@ of p argument indices and v a value index; flat order is row-major over
 (keys..., v).  Matrices are lists of rows, rows indexed by target
 coordinates, columns by source coordinates (matrix * coordinates of f =
 coordinates of delta f).
+
+The deformation-equation oracle at the end is the dense, key-by-key
+evaluator cpair used before it contracted nonzero entries only.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 ZERO = Fraction(0)
 
@@ -145,3 +150,185 @@ def complex_cohomology_dim(out_matrix, in_matrix, dim):
     """dim ker(out) - rank(in) for consecutive coboundaries."""
     ker = dim - rank(out_matrix)
     return ker - (rank(in_matrix) if in_matrix is not None else 0)
+
+
+# ---------------------------------------------------------------------------
+# the four deformation equations, evaluated densely, key by key
+# ---------------------------------------------------------------------------
+#
+# These read a deformation's coefficient tensors (numpy object arrays, mu
+# stored A-argument first) and contract them entry by entry, one basis
+# tuple at a time; no sparse indexing, no shared code with cpair.
+
+def _zeros(n):
+    return np.full(n, ZERO, dtype=object)
+
+
+def _alpha_lv(C, vec, b):
+    """alpha(vec, e_b) for a (2,0) tensor C."""
+    out = None
+    for s, c in enumerate(vec):
+        if c:
+            out = c * C[s, b] if out is None else out + c * C[s, b]
+    return out if out is not None else _zeros(C.shape[2])
+
+
+def _alpha_rv(C, a, vec):
+    """alpha(e_a, vec)."""
+    out = None
+    for s, c in enumerate(vec):
+        if c:
+            out = c * C[a, s] if out is None else out + c * C[a, s]
+    return out if out is not None else _zeros(C.shape[2])
+
+
+def _mu_xv(C, x, vec):
+    """mu(e_x, vec) for a (1,1) tensor stored as C[a, x, :]."""
+    out = None
+    for s, c in enumerate(vec):
+        if c:
+            out = c * C[s, x] if out is None else out + c * C[s, x]
+    return out if out is not None else _zeros(C.shape[2])
+
+
+def _mu_va(C, vec, a):
+    """mu(vec, e_a) with an L-vector in the first slot."""
+    out = None
+    for y, c in enumerate(vec):
+        if c:
+            out = c * C[a, y] if out is None else out + c * C[a, y]
+    return out if out is not None else _zeros(C.shape[2])
+
+
+def _lam_lv(C, vec, y):
+    out = None
+    for s, c in enumerate(vec):
+        if c:
+            out = c * C[s, y] if out is None else out + c * C[s, y]
+    return out if out is not None else _zeros(C.shape[2])
+
+
+def _lam_rv(C, x, vec):
+    out = None
+    for s, c in enumerate(vec):
+        if c:
+            out = c * C[x, s] if out is None else out + c * C[x, s]
+    return out if out is not None else _zeros(C.shape[2])
+
+
+def _assoc_defect(d, n, a, b, c, lo=0):
+    """sum over i+j=n (i,j >= lo) of alpha_i(alpha_j(a,b), c) - alpha_i(a, alpha_j(b,c))."""
+    dA = d.pair.A.dim
+    acc = _zeros(dA)
+    for i in range(lo, n - lo + 1):
+        j = n - i
+        Ci, Cj = d.alphas[i].coeffs, d.alphas[j].coeffs
+        acc = acc + _alpha_lv(Ci, Cj[a, b], c) - _alpha_rv(Ci, a, Cj[b, c])
+    return acc
+
+
+def _derivation_defect(d, n, x, a, b, lo=0):
+    """sum of mu_i(x, alpha_j(a,b)) - alpha_j(mu_i(x,a), b) - alpha_j(a, mu_i(x,b))."""
+    dA = d.pair.A.dim
+    acc = _zeros(dA)
+    for i in range(lo, n - lo + 1):
+        j = n - i
+        Mi, Cj = d.mus[i].coeffs, d.alphas[j].coeffs
+        acc = acc + _mu_xv(Mi, x, Cj[a, b]) \
+            - _alpha_lv(Cj, Mi[a, x], b) - _alpha_rv(Cj, a, Mi[b, x])
+    return acc
+
+
+def _anchor_defect(d, n, x, y, a, lo=0):
+    """sum of mu_i(x, mu_j(y,a)) - mu_i(y, mu_j(x,a)) - mu_i(lambda_j(x,y), a)."""
+    dA = d.pair.A.dim
+    acc = _zeros(dA)
+    for i in range(lo, n - lo + 1):
+        j = n - i
+        Mi, Mj, Lj = d.mus[i].coeffs, d.mus[j].coeffs, d.lambdas[j].coeffs
+        acc = acc + _mu_xv(Mi, x, Mj[a, y]) - _mu_xv(Mi, y, Mj[a, x]) \
+            - _mu_va(Mi, Lj[x, y], a)
+    return acc
+
+
+def _leibniz_defect(d, n, x, y, z, lo=0):
+    """sum of lam_i(x, lam_j(y,z)) - lam_i(lam_j(x,y), z) - lam_i(y, lam_j(x,z))."""
+    dL = d.pair.L.dim
+    acc = _zeros(dL)
+    for i in range(lo, n - lo + 1):
+        j = n - i
+        Li, Lj = d.lambdas[i].coeffs, d.lambdas[j].coeffs
+        acc = acc + _lam_rv(Li, x, Lj[y, z]) - _lam_lv(Li, Lj[x, y], z) \
+            - _lam_rv(Li, y, Lj[x, z])
+    return acc
+
+
+def _is_zero_vec(v):
+    return all(not x for x in v)
+
+
+def _label(labels, idx):
+    return "(" + ", ".join(labels[i] for i in idx) + ")"
+
+
+def deformation_report(d):
+    """[(name, ok, witness label)] per order and equation, in report order;
+    a witness is the first basis tuple whose defect does not vanish."""
+    dA, dL = d.pair.A.dim, d.pair.L.dim
+    la, ll = d.pair.A.basis_labels, d.pair.L.basis_labels
+    rows = []
+    for n in range(d.order + 1):
+        wit = None
+        for a, b, c in product(range(dA), repeat=3):
+            if not _is_zero_vec(_assoc_defect(d, n, a, b, c)):
+                wit = _label(la, (a, b, c))
+                break
+        rows.append((f"order {n} associativity", wit is None, wit))
+
+        wit = None
+        for x in range(dL):
+            for a, b in product(range(dA), repeat=2):
+                if not _is_zero_vec(_derivation_defect(d, n, x, a, b)):
+                    wit = f"({ll[x]}; {la[a]}, {la[b]})"
+                    break
+            if wit:
+                break
+        rows.append((f"order {n} anchor into derivations", wit is None, wit))
+
+        wit = None
+        for x, y in product(range(dL), repeat=2):
+            for a in range(dA):
+                if not _is_zero_vec(_anchor_defect(d, n, x, y, a)):
+                    wit = f"({ll[x]}, {ll[y]}; {la[a]})"
+                    break
+            if wit:
+                break
+        rows.append((f"order {n} anchor homomorphism", wit is None, wit))
+
+        wit = None
+        for x, y, z in product(range(dL), repeat=3):
+            if not _is_zero_vec(_leibniz_defect(d, n, x, y, z)):
+                wit = _label(ll, (x, y, z))
+                break
+        rows.append((f"order {n} leibniz identity", wit is None, wit))
+    return rows
+
+
+def theta(d):
+    """The obstruction components (theta_A, theta1, theta2, theta_L) of d as
+    dense arrays: the i, j >= 1 cross terms at order N+1."""
+    dA, dL = d.pair.A.dim, d.pair.L.dim
+    n = d.order + 1
+    tA = np.full((dA, dA, dA, dA), ZERO, dtype=object)
+    for a, b, c in product(range(dA), repeat=3):
+        tA[a, b, c] = _assoc_defect(d, n, a, b, c, lo=1)
+    t1 = np.full((dA, dA, dL, dA), ZERO, dtype=object)
+    for a, b, x in product(range(dA), range(dA), range(dL)):
+        t1[a, b, x] = _derivation_defect(d, n, x, a, b, lo=1)
+    t2 = np.full((dA, dL, dL, dA), ZERO, dtype=object)
+    for a, x, y in product(range(dA), range(dL), range(dL)):
+        t2[a, x, y] = _anchor_defect(d, n, x, y, a, lo=1)
+    tL = np.full((dL, dL, dL, dL), ZERO, dtype=object)
+    for x, y, z in product(range(dL), repeat=3):
+        tL[x, y, z] = _leibniz_defect(d, n, x, y, z, lo=1)
+    return tA, t1, t2, tL

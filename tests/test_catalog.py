@@ -6,8 +6,8 @@ import oracles
 from cpair import catalog
 from cpair.cohomology import total_complex, total_delta_matrix
 from cpair.deformations import validate_deformation
-from cpair.errors import InputError
-from cpair.structures import validate_pair
+from cpair.errors import InputError, InternalError
+from cpair.structures import LawCheck, ValidationReport, validate_pair
 
 F = Fraction
 
@@ -72,3 +72,20 @@ def test_hemisemidirect_demo_is_an_anchor_projection(hemi):
         assert not any(any(r) for r in hemi.mu[x].matrix)
     assert any(any(r) for r in hemi.mu[0].matrix)
     assert any(any(r) for r in hemi.mu[1].matrix)
+
+
+@pytest.mark.parametrize("patched, name, match", [
+    ("validate_pair", "hemisemidirect_demo", "not a Courant pair"),
+    ("validate_deformation", "dual_numbers_line", "alpha1 is invalid"),
+    ("is_cocycle", "heisenberg", "phi1 is not closed"),
+])
+def test_entry_checks_are_internal_errors(monkeypatch, patched, name, match):
+    """A catalog entry's executable theorems raise InternalError, not assert."""
+    failing = ValidationReport((LawCheck("a law", False, "(x)"),))
+    if patched == "is_cocycle":
+        from cpair.cohomology import TotalComplex
+        monkeypatch.setattr(TotalComplex, "is_cocycle", lambda self, c: False)
+    else:
+        monkeypatch.setattr(catalog, patched, lambda *args: failing)
+    with pytest.raises(InternalError, match=match):
+        getattr(catalog, name).__wrapped__()

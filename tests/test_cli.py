@@ -226,3 +226,20 @@ def test_module_invocation_matches_entry_point(heis_entry, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_extend_output_does_not_depend_on_asserts(tmp_path, heis_entry, hemi):
+    """No check on the extension path lives in an assert: python -O, which
+    strips asserts, prints the same report with the same exit code."""
+    docs = {"phi1": documents.deformation_to_document(
+                heis_entry.featured_deformations["phi1"], pair_ref="heisenberg"),
+            "stuck": documents.deformation_to_document(obstructed_order_one(hemi))}
+    for name, doc in docs.items():
+        path = write_doc(tmp_path, f"{name}.json", doc)
+        runs = [subprocess.run([sys.executable, *flags, "-m", "cpair", "deform",
+                                path, "extend", "--to", "4"],
+                               capture_output=True, text=True)
+                for flags in ((), ("-O",))]
+        assert runs[0].returncode == (0 if name == "phi1" else 1)
+        assert (runs[1].stdout, runs[1].returncode) == \
+            (runs[0].stdout, runs[0].returncode)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import rand_total
@@ -172,3 +173,22 @@ def test_pinned_high_degree(name, n, pinned):
     tc = TotalComplex(catalog.get(name).pair)
     got = (tc.dim(n), tc.rank(n - 1), tc.rank(n), tc.cohomology_dim(n))
     assert got == pinned
+
+
+@given(st.sampled_from(catalog.names()), st.integers(1, 3),
+       st.integers(0, 10 ** 6), st.sampled_from((0.02, 0.1, 0.5)))
+@settings(max_examples=30, deadline=None)
+def test_support_delta_matches_direct_evaluation(name, n, seed, density):
+    """The scatter from a cochain's nonzero coordinates is delta_tot."""
+    pair = catalog.get(name).pair
+    tc = total_complex(pair)
+    c = rand_total(random.Random(seed), pair, n, density=density)
+    direct = tc.index(n + 1).flatten(total_delta(c, pair))
+    assert tc.delta(c) == {r: v for r, v in enumerate(direct) if v}
+    assert tc.is_cocycle(c) == total_delta(c, pair).is_zero()
+
+
+def test_support_delta_checks_shapes(heis, dual):
+    c = TotalCochain.zero(2, heis)
+    with pytest.raises(InputError):
+        total_complex(dual).delta(c)

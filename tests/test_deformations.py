@@ -4,17 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_cochain, rand_coeffs
+import oracles
+from conftest import rand_cochain, rand_coeffs, rand_total
+from cpair import catalog
 from cpair.cochains import Cochain, TotalCochain, total_delta
-from cpair.cohomology import total_complex
-from cpair.deformations import (Deformation, Equivalence, apply_equivalence,
+from cpair.cohomology import TotalComplex, total_complex
+from cpair.deformations import (Deformation, Equivalence, _theta,
+                                apply_equivalence,
                                 equivalent_infinitesimals_differ_by_coboundary,
-                                extend, infinitesimal, n_infinitesimal,
-                                obstruction, obstruction_is_cocycle,
-                                rigidity_probe, structure_terms,
-                                validate_deformation)
-from cpair.errors import (InputError, InvalidDeformation,
+                                extend, extend_to, infinitesimal,
+                                n_infinitesimal, obstruction,
+                                obstruction_is_cocycle, rigidity_probe,
+                                structure_terms, validate_deformation)
+from cpair.errors import (InputError, InternalError, InvalidDeformation,
                           NoInfinitesimalError)
 from cpair.structures import (AssocAlgebra, CourantPair, LeibnizAlgebra,
                               tensor, zero_tensor)
@@ -69,6 +73,8 @@ def test_validate_rejects_random_junk(heis):
     assert not report.ok
     assert any("order 1" in c.name for c in report.failures)
     assert report.failures[0].witness
+    assert [(c.name, c.ok, c.witness) for c in report.checks] == \
+        oracles.deformation_report(junk)
 
 
 def test_infinitesimal_orders(heis_entry, heis):
@@ -212,3 +218,114 @@ def test_point_pair_is_rigid():
     # and with nothing in degree 2, every deformation extends
     d = Deformation.from_terms(point, {})
     assert extend(d) is not None
+
+
+# ---------------------------------------------------------------------------
+# the sparse equations against the dense oracle
+# ---------------------------------------------------------------------------
+
+def random_deformation(name, seed, order, perturb):
+    """A deformation of a catalog pair: a multiple of one or two degree-2
+    class representatives, extended towards ``order`` (it stops early where
+    the direction is obstructed), then moved by a random equivalence so
+    every coefficient is busy.  With ``perturb`` one coefficient above
+    order 0 is then disturbed at random, which usually breaks the
+    equations."""
+    rng = random.Random(seed)
+    pair = catalog.get(name).pair
+    reps = total_complex(pair).representatives(2)
+    inf = TotalCochain.zero(2, pair)
+    for rep in rng.sample(reps, min(len(reps), rng.randint(1, 2))):
+        inf = inf + rng.choice((-2, -1, 1, 2)) * rep
+    d = Deformation.from_terms(pair, {1: (inf.component(2), inf.component(1),
+                                          inf.component(0))})
+    d = extend_to(d, order)[0]
+    e = Equivalence.from_terms(
+        pair, phis=[rand_cochain(rng, pair, 1, 0, 0.3, 2) for _ in range(d.order)],
+        psis=[rand_cochain(rng, pair, 0, 1, 0.3, 2) for _ in range(d.order)])
+    d = apply_equivalence(d, e)
+    if perturb:
+        coeffs = [list(d.alphas), list(d.mus), list(d.lambdas)]
+        k = rng.randint(1, d.order)
+        which = rng.choice([i for i in range(3) if coeffs[i][k].coeffs.size])
+        c = coeffs[which][k]
+        coeffs[which][k] = c + rand_cochain(rng, pair, c.p, c.q, 0.2, 3)
+        d = Deformation(pair, *coeffs)
+    return d
+
+
+deformations = st.builds(random_deformation, st.sampled_from(catalog.names()),
+                         st.integers(0, 10 ** 6), st.integers(1, 3),
+                         st.booleans())
+
+
+@given(deformations)
+@settings(max_examples=20, deadline=None)
+def test_sparse_report_matches_dense_oracle(d):
+    got = [(c.name, c.ok, c.witness) for c in validate_deformation(d).checks]
+    assert got == oracles.deformation_report(d)
+
+
+@given(deformations)
+@settings(max_examples=20, deadline=None)
+def test_theta_matches_dense_oracle(d):
+    for comp, want in zip(_theta(d).components, oracles.theta(d)):
+        assert comp.coeffs.shape == want.shape
+        assert list(comp.coeffs.reshape(-1)) == list(want.reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# the extension loop and its explicit checks
+# ---------------------------------------------------------------------------
+
+def test_extend_to_stops_at_the_obstruction(hemi):
+    d = obstructed_order_one(hemi)
+    reached, stop = extend_to(d, 4)
+    assert reached is d and stop is not None
+    assert not stop.is_zero()
+    assert stop.total() == obstruction(d).total()
+
+
+def test_extend_to_matches_repeated_extend(heis_entry):
+    d = phi_deformation(heis_entry, "phi2")
+    reached, stop = extend_to(d, 4)
+    assert stop is None and reached.order == 4
+    step = d
+    for _ in range(3):
+        step = extend(step)
+    for n in range(5):
+        assert reached.coefficient(n) == step.coefficient(n)
+
+
+def test_corrupted_top_coefficient_is_internal_error(heis_entry, monkeypatch):
+    rng = random.Random(17)
+    honest = TotalComplex.is_coboundary
+
+    def corrupted(self, c):
+        sol = honest(self, c)
+        return None if sol is None else sol + rand_total(rng, self.pair, sol.n)
+
+    monkeypatch.setattr(TotalComplex, "is_coboundary", corrupted)
+    with pytest.raises(InternalError, match="order 2"):
+        extend(phi_deformation(heis_entry, "phi1"))
+
+
+def test_unclosed_obstruction_is_internal_error(heis_entry, monkeypatch):
+    import cpair.deformations as deformations
+    rng = random.Random(3)
+    honest = deformations._theta
+    monkeypatch.setattr(deformations, "_theta", lambda d, terms=None:
+                        honest(d, terms) + rand_total(rng, d.pair, 3))
+    d = phi_deformation(heis_entry, "phi1")
+    with pytest.raises(InternalError, match="not a total cocycle"):
+        obstruction(d)
+    with pytest.raises(InternalError, match="not a total cocycle"):
+        extend(d)
+
+
+def test_rigidity_probe_checks_its_cocycles(heis, monkeypatch):
+    rng = random.Random(6)
+    monkeypatch.setattr(TotalComplex, "representatives",
+                        lambda self, n: [rand_total(rng, self.pair, n)])
+    with pytest.raises(InternalError, match="not a cocycle"):
+        rigidity_probe(heis)
