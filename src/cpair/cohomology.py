@@ -10,13 +10,17 @@ and rows by the degree-(n+1) basis, so ``matrix @ flatten(c)`` equals
 Assembly is by scatter: for each basis cochain of the source we enumerate
 the finitely many basis cochains of the target it hits, using inverted
 structure-constant tables (which pairs multiply onto a given basis element,
-which brackets produce it, which elements the anchor maps onto it).  This
-keeps assembly proportional to the number of nonzero matrix entries.  Run
-on the nonzero coordinates of one cochain (``TotalComplex.delta``), the
-same scatter is the production closedness check (``is_cocycle``, Theta,
-the catalog), with no matrix built.  The direct evaluators in ``cochains``
-share only the structure tensors with it and stay the independent
-cross-check in the tests and in the benchmark's correctness gate.
+which brackets produce it, which elements the anchor maps onto it) and the
+module tensors pre-indexed to their nonzero entries, all kept on the pair
+(``CourantPair.cache``).  This keeps assembly proportional to the number of
+nonzero matrix entries.  Table values are ints wherever they are integral,
+so most of the arithmetic is on ints; the values yielded are still exactly
+those of delta.  Run on the nonzero coordinates of one cochain
+(``TotalComplex.delta``), the same scatter is the production closedness
+check (``is_cocycle``, Theta, the catalog), with no matrix built.  The
+direct evaluators in ``cochains`` share only the structure tensors with it
+and stay the independent cross-check in the tests and in the benchmark's
+correctness gate.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -38,7 +42,8 @@ ZERO = Fraction(0)
 
 _Block = namedtuple("_Block", "p q shape strides offset size")
 
-_Tables = namedtuple("_Tables", "mul_inv bracket_inv muT")
+_Tables = namedtuple("_Tables", "mul_inv bracket_inv muT phi left right "
+                                 "M_left M_right P_left P_right")
 
 
 def _sparse_lines(count, entries):
@@ -56,32 +61,39 @@ def _sparse_lines(count, entries):
     return lines
 
 
-@lru_cache(maxsize=None)
-def _inverse_tables(pair: CourantPair) -> _Tables:
-    """Inverted structure constants: everything that lands on a basis element."""
-    dA, dL = pair.A.dim, pair.L.dim
-    mul_inv = [[] for _ in range(dA)]
-    for u in range(dA):
-        for v in range(dA):
-            for s, c in enumerate(pair.A.mul[u, v]):
-                if c:
-                    mul_inv[s].append((u, v, c))
-    bracket_inv = [[] for _ in range(dL)]
-    for u in range(dL):
-        for w in range(dL):
-            for s, c in enumerate(pair.L.bracket[u, w]):
-                if c:
-                    bracket_inv[s].append((u, w, c))
-    muT = []
-    for z in range(dL):
-        mat = pair.mu[z].matrix
-        cols = [[] for _ in range(dA)]
-        for u in range(dA):
-            for s, c in enumerate(mat[u]):
-                if c:
-                    cols[s].append((u, c))
-        muT.append(cols)
-    return _Tables(mul_inv, bracket_inv, muT)
+def _nonzero(arr):
+    """Nested lists over all but the last axis of a coefficient tensor; each
+    innermost list holds the (index, value) of the nonzero entries along the
+    last axis, values as exact ints where integral."""
+    if arr.ndim > 1:
+        return [_nonzero(sub) for sub in arr]
+    return [(w, c.numerator if c.denominator == 1 else c)
+            for w, c in enumerate(arr) if c]
+
+
+def _inverted(arr):
+    """Per index s of the last axis, the (other indices..., value) of the
+    nonzero entries of arr at s: what lands on the basis element s."""
+    out = [[] for _ in range(arr.shape[-1])]
+    for idx in np.ndindex(arr.shape[:-1]):
+        for s, c in _nonzero(arr[idx]):
+            out[s].append(idx + (c,))
+    return out
+
+
+def _tables(pair: CourantPair, module: CPModule) -> _Tables:
+    """The nonzero structure constants the scatter reads: the inverted pair
+    tables and the module tensors, built once per (pair, module) and kept
+    in ``pair.cache``."""
+    key = ("tables", module)
+    if key not in pair.cache:
+        pair.cache[key] = _Tables(
+            _inverted(pair.A.mul), _inverted(pair.L.bracket),
+            [_inverted(d.matrix) for d in pair.mu],
+            *map(_nonzero, (module.phi, module.left_act, module.right_act,
+                            module.M_left, module.M_right, module.P_left,
+                            module.P_right)))
+    return pair.cache[key]
 
 
 def _up_entries(pair, module, p, q, key):
@@ -91,26 +103,23 @@ def _up_entries(pair, module, p, q, key):
     """
     dA = pair.A.dim
     at, xt, v = key[:p], key[p:p + q], key[p + q]
+    tabs = _tables(pair, module)
     if p == 0:
         for a in range(dA):
-            for w, c in enumerate(module.phi[v, a]):
-                if c:
-                    yield (a,) + xt + (w,), c
+            for w, c in tabs.phi[v][a]:
+                yield (a,) + xt + (w,), c
         return
-    tabs = _inverse_tables(pair)
     for b0 in range(dA):
-        for w, c in enumerate(module.left_act[b0, v]):
-            if c:
-                yield (b0,) + at + xt + (w,), c
+        for w, c in tabs.left[b0][v]:
+            yield (b0,) + at + xt + (w,), c
     for k in range(p):
         neg = k % 2 == 0  # sign (-1)^(k+1), k 0-based
         for u, vv, c in tabs.mul_inv[at[k]]:
             yield at[:k] + (u, vv) + at[k + 1:] + xt + (v,), -c if neg else c
     last_neg = p % 2 == 0  # sign (-1)^(p+1)
     for bp in range(dA):
-        for w, c in enumerate(module.right_act[v, bp]):
-            if c:
-                yield at + (bp,) + xt + (w,), -c if last_neg else c
+        for w, c in tabs.right[v][bp]:
+            yield at + (bp,) + xt + (w,), -c if last_neg else c
 
 
 def _down_entries(pair, module, p, q, key):
@@ -121,26 +130,25 @@ def _down_entries(pair, module, p, q, key):
     """
     dL = pair.L.dim
     at, xt, v = key[:p], key[p:p + q], key[p + q]
-    tabs = _inverse_tables(pair)
+    tabs = _tables(pair, module)
     eps_neg = q % 2 == 0  # the prefactor (-1)^(q+1)
-    left = module.M_left if p else module.P_left
-    right = module.M_right if p else module.P_right
+    left = tabs.M_left if p else tabs.P_left
+    right = tabs.M_right if p else tabs.P_right
     for z in range(dL):
         for i in range(1, q + 2):
             if i <= q:
                 neg = i % 2 == 0  # (-1)^(i-1)
                 yt = xt[:i - 1] + (z,) + xt[i - 1:]
-                vec = left[z, v]
+                entries = left[z][v]
                 corr_neg = not neg
             else:
                 neg = q % 2 == 0  # (-1)^(q+1)
                 yt = xt + (z,)
-                vec = right[v, z]
+                entries = right[v][z]
                 corr_neg = neg
             neg, corr_neg = neg != eps_neg, corr_neg != eps_neg  # times eps
-            for w, c in enumerate(vec):
-                if c:
-                    yield at + yt + (w,), -c if neg else c
+            for w, c in entries:
+                yield at + yt + (w,), -c if neg else c
             for k in range(p):
                 for u, c in tabs.muT[z][at[k]]:
                     yield (at[:k] + (u,) + at[k + 1:] + yt + (v,),
@@ -157,8 +165,8 @@ def _down_entries(pair, module, p, q, key):
 class GradedBasisIndex:
     """Flat coordinates on C^n_tot = the direct sum of the C^{p,q}, p+q=n.
 
-    Blocks appear with p descending; ``offsets[k]`` is where the k-th block
-    (bidegree (n-k, k)) starts in the flat vector.
+    Blocks appear with p descending: ``blocks[k]`` has bidegree (n-k, k)
+    and starts at its ``offset`` in the flat vector.
     """
 
     def __init__(self, pair: CourantPair, module: CPModule, n: int):
@@ -171,22 +179,16 @@ class GradedBasisIndex:
         offset = 0
         for p in range(n, -1, -1):
             shape = _shape(p, n - p, pair, module)
-            strides = [1] * len(shape)
-            for k in range(len(shape) - 2, -1, -1):
-                strides[k] = strides[k + 1] * shape[k + 1]
+            strides = tuple(itertools.accumulate(shape[:0:-1], mul, initial=1))[::-1]
             size = prod(shape)
-            blocks.append(_Block(p, n - p, shape, tuple(strides), offset, size))
+            blocks.append(_Block(p, n - p, shape, strides, offset, size))
             offset += size
         self.blocks = tuple(blocks)
-        self.offsets = tuple(b.offset for b in blocks)
         self.total_dim = offset
-
-    def block(self, p: int) -> _Block:
-        return self.blocks[self.n - p]
 
     def flat_index(self, p: int, key) -> int:
         b = self.blocks[self.n - p]
-        return b.offset + sum(s * k for s, k in zip(b.strides, key))
+        return b.offset + sum(map(mul, b.strides, key))
 
     def flatten(self, c: TotalCochain):
         if c.n != self.n:
@@ -220,7 +222,8 @@ class TotalComplex:
 
     Everything derived (indices, triplets, sparse rows and columns, one
     echelon factorization per differential, kernels) is cached on the
-    instance; instances themselves are shared through ``total_complex``.
+    instance; instances themselves are kept on the pair by
+    ``total_complex``.
     """
 
     def __init__(self, pair: CourantPair, module: CPModule = None):
@@ -365,14 +368,13 @@ class TotalComplex:
         return None if sol is None else self.index(c.n - 1).unflatten(sol)
 
 
-@lru_cache(maxsize=None)
-def _shared(pair: CourantPair, module: CPModule) -> TotalComplex:
-    return TotalComplex(pair, module)
-
-
 def total_complex(pair: CourantPair, module: CPModule = None) -> TotalComplex:
-    """The cached total complex of a pair (adjoint coefficients by default)."""
-    return _shared(pair, module or adjoint_module(pair))
+    """The total complex of a pair (adjoint coefficients by default), kept
+    in ``pair.cache`` so that it lives and dies with the pair."""
+    key = ("complex", module or adjoint_module(pair))
+    if key not in pair.cache:
+        pair.cache[key] = TotalComplex(pair, key[1])
+    return pair.cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +422,11 @@ def _block_triplets(pair, module, p, q, entries_gen, tp, tq):
     """(rows, cols, triplets) of the block differential C^{p,q} -> C^{tp,tq}."""
     sshape = _shape(p, q, pair, module)
     tshape = _shape(tp, tq, pair, module)
-    strides = [1] * len(tshape)
-    for k in range(len(tshape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * tshape[k + 1]
+    strides = tuple(itertools.accumulate(tshape[:0:-1], mul, initial=1))[::-1]
     trips = []
     for col, key in enumerate(itertools.product(*[range(s) for s in sshape])):
         for tkey, c in entries_gen(pair, module, p, q, key):
-            trips.append((sum(s * k for s, k in zip(strides, tkey)), col, c))
+            trips.append((sum(map(mul, strides, tkey)), col, c))
     return prod(tshape), prod(sshape), trips
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -47,6 +48,9 @@ from .structures import (AssocAlgebra, CourantPair, CPModule, Derivation,
                          LeibnizAlgebra)
 
 ZERO = Fraction(0)
+
+#: The most cells (8 bytes each) one structure tensor of a document may declare.
+MAX_TENSOR_CELLS = 10 ** 6
 
 RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -166,6 +170,15 @@ def _parse_matrix(data, rows, cols, where):
     return out
 
 
+def _check_cells(shape, where):
+    """Refuse a tensor shape above MAX_TENSOR_CELLS before anything is allocated."""
+    cells = prod(shape)
+    if cells > MAX_TENSOR_CELLS:
+        raise InputError(f"{where}: a {' x '.join(map(str, shape))} tensor of "
+                         f"{cells} cells (at least {cells * 8 // 10 ** 6} MB) "
+                         f"exceeds the limit of {MAX_TENSOR_CELLS} cells")
+
+
 def _labels(section, dim, where):
     labels = section.get("basis")
     if labels is None:
@@ -187,6 +200,7 @@ def _parse_algebra_section(doc, name, where):
     dim = section.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError(f"{where}.{name}.dim: must be a nonnegative integer")
+    _check_cells((dim, dim, dim), f"{where}.{name}.dim")
     arr = np.full((dim, dim, dim), ZERO, dtype=object)
     fill_table(arr, section.get("table"), f"{where}.{name}.table")
     arr.setflags(write=False)
@@ -233,6 +247,8 @@ def _module_from_document(doc, pair, where) -> CPModule:
         "P_left": (dL, pdim, pdim),
         "P_right": (pdim, dL, pdim),
     }
+    for nm, shape in [*shapes.items(), ("phi", (pdim, dA, mdim))]:
+        _check_cells(shape, f"{where} tensor {nm}")
     actions = doc.get("actions") or {}
     if not isinstance(actions, dict):
         raise InputError(f"{where}.actions: must be an object")

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is exact: scalars are `fractions.Fraction`,
-elimination is plain Gaussian elimination over Q, and there is no floating
-point anywhere.
+Everything in this module is exact, and there is no floating point
+anywhere.  Public values (`Matrix` entries, kernel vectors, solutions) are
+`fractions.Fraction`s, but elimination runs on Python ints: fraction-free
+elimination over Z (after Bareiss, Math. Comp. 22, 1968) on primitive
+integer rows, which span the same lines over Q as the rows given.
 
 One elimination engine, `Echelon`, serves rank, kernel, solve and span
 membership.  It keeps sparse ``{col: value}`` rows in row echelon form and
@@ -10,21 +12,19 @@ grows by insertion: a new row is reduced against the existing pivot rows
 only, and what is left becomes a pivot row at its leftmost column.  Rows
 are never reduced back into earlier pivots, so a rank needs forward
 elimination only; the reduced row echelon form (RREF) is built only when a
-kernel is asked for, and a solution only back-substitutes.
+kernel is asked for, and a solution only back-substitutes.  These two are
+the only places that divide, by the leading entries of pivot rows.
 
 Pivots are always leftmost columns, so the pivot columns and the RREF
 depend only on the row space, not on the order rows are inserted in.  The
-kernel basis and the free-variables-zero solution are therefore canonical.
-"""
+kernel basis and the free-variables-zero solution are therefore canonical."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
-
-#: The ground field: arbitrary-precision rationals.
-Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,24 +127,53 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# the elimination engine (sparse dict rows)
+# the elimination engine (sparse integer rows)
 # ---------------------------------------------------------------------------
 
-def _sparse(row, ncols: int) -> dict:
-    """A fresh {col: value} copy of a dict row or a dense sequence."""
+def _entries(row, ncols: int):
+    """The (col, value) pairs of a dict row or a dense sequence, checked
+    against the width ncols."""
     if isinstance(row, dict):
-        items = row.items()
-        if items and not 0 <= min(row) <= max(row) < ncols:
+        if row and not 0 <= min(row) <= max(row) < ncols:
             raise InputError(f"row has a column outside 0..{ncols - 1}")
-    else:
-        if len(row) != ncols:
-            raise InputError(f"row of length {len(row)}, expected {ncols}")
-        items = enumerate(row)
-    return {j: _as_scalar(x) for j, x in items if x}
+        return row.items()
+    if len(row) != ncols:
+        raise InputError(f"row of length {len(row)}, expected {ncols}")
+    return enumerate(row)
 
 
-def _subtract(r: dict, c, p: dict) -> None:
-    """r -= c * p in place, dropping the entries that cancel."""
+def _primitive(entries) -> dict:
+    """The primitive integer {col: value} row on the line over Q spanned by
+    rational (col, value) entries: scaled by the lcm of their denominators,
+    divided by their content, leading entry positive."""
+    r = {}
+    for j, x in entries:
+        if x:
+            if not isinstance(x, (int, Fraction)):
+                raise InputError(f"matrix entries must be exact rationals, "
+                                 f"got {type(x).__name__}")
+            r[j] = x
+    if not r:
+        return r
+    den = lcm(*[x.denominator for x in r.values()])
+    r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+    g = gcd(*r.values())
+    if r[min(r)] < 0:
+        g = -g
+    return r if g == 1 else {j: x // g for j, x in r.items()}
+
+
+def _eliminate(r: dict, k, p: dict) -> None:
+    """Clear column k of r against p, fraction-free and in place:
+    r <- (b/g) r - (a/g) p, where a = r[k], b = p[k] > 0 and g = gcd(a, b);
+    the entries that cancel are dropped."""
+    a, b = r[k], p[k]
+    g = gcd(a, b)
+    if g != b:
+        s = b // g
+        for j in r:
+            r[j] *= s
+    c = a // g
     for j, x in p.items():
         nv = r[j] - c * x if j in r else -c * x
         if nv:
@@ -154,17 +183,18 @@ def _subtract(r: dict, c, p: dict) -> None:
 
 
 class Echelon:
-    """The row echelon form over Q of sparse rows with ``ncols`` columns.
+    """The row echelon form of rational rows with ``ncols`` columns, kept
+    as primitive integer rows with positive leading entries.
 
     ``rows`` (``{col: value}`` dicts or dense sequences) go in shortest
     first; ``add`` inserts one more row and says whether it enlarged the
-    span.  Each pivot row is stored with its leftmost entry scaled to 1.
+    span.  Neither does Fraction arithmetic.
     """
 
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
-        self._pivots = {}  # leading column -> row with a leading 1 there
-        for r in sorted((_sparse(r, ncols) for r in rows), key=len):
+        self._pivots = {}  # leading column -> primitive row leading there
+        for r in sorted((_primitive(_entries(r, ncols)) for r in rows), key=len):
             self._insert(r)
 
     @property
@@ -180,35 +210,35 @@ class Echelon:
             p = pivots.get(col)
             if p is None:
                 return col
-            _subtract(r, r[col], p)
+            _eliminate(r, col, p)
         return None
 
     def _insert(self, r: dict) -> bool:
         col = self._reduce(r)
         if col is None:
             return False
-        inv = ONE / r[col]
-        self._pivots[col] = r if inv == 1 else {j: x * inv for j, x in r.items()}
+        self._pivots[col] = _primitive(r.items())
         return True
 
     def add(self, row) -> bool:
         """Insert a row; True iff it was independent of the rows so far."""
-        return self._insert(_sparse(row, self.ncols))
+        return self._insert(_primitive(_entries(row, self.ncols)))
 
     def _rref(self) -> dict:
-        """{pivot column: row of the reduced row echelon form}."""
+        """{pivot column: integer row of the reduced row echelon form}, each
+        positive at its pivot column and zero at every other one."""
         red = {}
         # each reduced row has no entry in a later pivot column, so one pass
         # over a row's pivot columns clears them all
         for col in sorted(self._pivots, reverse=True):
             r = dict(self._pivots[col])
             for k in [k for k in r if k in red]:
-                _subtract(r, r[k], red[k])
-            red[col] = r
+                _eliminate(r, k, red[k])
+            red[col] = _primitive(r.items())
         return red
 
     def kernel(self):
-        """A basis of the null space, as length-ncols tuples.
+        """A basis of the null space, as length-ncols tuples of Fractions.
 
         One vector per free column: that coordinate is 1 and the pivot
         coordinates are back-substituted from the RREF.
@@ -218,9 +248,10 @@ class Echelon:
         for f, v in basis.items():
             v[f] = ONE
         for col, r in red.items():
+            lead = r[col]
             for j, x in r.items():
                 if j != col:
-                    basis[j][col] = -x
+                    basis[j][col] = Fraction(-x, lead)
         return [tuple(v) for v in basis.values()]
 
 
@@ -257,21 +288,14 @@ def solve(m, b, ncols: int = None):
     if len(b) != len(rows):
         raise InputError(f"rhs length {len(b)} != rows {len(rows)}")
     aug = ncols  # b rides along as one more column, right of all the others
-    augmented = []
-    for r, bi in zip(rows, b):
-        r = _sparse(r, ncols)
-        bi = _as_scalar(bi)
-        if bi:
-            r[aug] = bi
-        augmented.append(r)
-    ech = Echelon(ncols + 1, augmented)
-    pivots = ech._pivots
+    pivots = Echelon(ncols + 1, [dict(_entries(r, ncols)) | {aug: _as_scalar(bi)}
+                                 for r, bi in zip(rows, b)])._pivots
     if aug in pivots:  # some row reduced to 0 = nonzero
         return None
     # back-substitute with the free variables at zero
     x = [ZERO] * ncols
     for col in sorted(pivots, reverse=True):
         r = pivots[col]
-        x[col] = r.get(aug, ZERO) - sum(
-            (v * x[k] for k, v in r.items() if col < k < aug), ZERO)
+        x[col] = (r.get(aug, 0) - sum(
+            (v * x[k] for k, v in r.items() if col < k < aug), ZERO)) / r[col]
     return tuple(x)

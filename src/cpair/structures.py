@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -146,6 +145,8 @@ class CourantPair:
     A: AssocAlgebra
     L: LeibnizAlgebra
     mu: tuple  # one Derivation per basis element of L
+    #: Derived data (adjoint module, total complexes, tables); dies with the pair.
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.mu) != self.L.dim:
@@ -558,12 +559,14 @@ def _contract_left(coeffs, Pr, p):
 # constructions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def adjoint_module(pair: CourantPair) -> CPModule:
     """The module (M, P) = (A, L) with the multiplication and bracket actions.
 
-    [x, a] = mu(x)(a) = -[a, x], and phi = mu.
+    [x, a] = mu(x)(a) = -[a, x], and phi = mu.  Built once per pair and
+    kept in ``pair.cache``.
     """
+    if "adjoint" in pair.cache:
+        return pair.cache["adjoint"]
     A, L = pair.A, pair.L
     dA, dL = A.dim, L.dim
     M_left = np.empty((dL, dA, dA), dtype=object)
@@ -585,13 +588,13 @@ def adjoint_module(pair: CourantPair) -> CPModule:
             P_right[p, x] = L.bracket[p, x]
     for arr in (M_left, M_right, phi, right, P_right):
         arr.setflags(write=False)
-    return CPModule(
+    return pair.cache.setdefault("adjoint", CPModule(
         M_dim=dA, P_dim=dL,
         left_act=A.mul, right_act=right,
         M_left=M_left, M_right=M_right,
         P_left=L.bracket, P_right=P_right,
         phi=phi, dim_A=dA, dim_L=dL,
-    )
+    ))
 
 
 def hemisemidirect(g: LeibnizAlgebra, action: np.ndarray, V_dim: int,

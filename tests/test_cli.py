@@ -73,6 +73,30 @@ def test_decimal_is_exit_2(tmp_path, heis, capsys):
     assert "decimal" in capsys.readouterr().err
 
 
+def _oversize(doc, section):
+    """Declare one section just above documents.MAX_TENSOR_CELLS (so that a
+    missing check would allocate megabytes, not gigabytes)."""
+    if section in ("assoc", "leibniz"):
+        doc[section]["dim"] = 101  # 101^3 cells
+    else:
+        doc["module"] = {"M": {"dim": 1}, "P": {"dim": 1}}
+        doc["module"][section]["dim"] = 578  # 3 x 578 x 578 cells
+
+
+@pytest.mark.parametrize("section, tensor", [
+    ("assoc", "101 x 101 x 101"), ("leibniz", "101 x 101 x 101"),
+    ("M", "3 x 578 x 578"), ("P", "3 x 578 x 578")])
+def test_oversized_dimension_is_exit_2(tmp_path, heis, capsys, section, tensor):
+    doc = documents.pair_to_document(heis)
+    _oversize(doc, section)
+    path = write_doc(tmp_path, "big.json", doc)
+    for argv in (["validate", path], ["cohomology", path, "--degree", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{tensor} tensor of" in err and "MB" in err
+        assert "Traceback" not in err
+
+
 def test_cohomology_report(heis_file, capsys):
     assert main(["cohomology", heis_file, "--degree", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

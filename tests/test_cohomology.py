@@ -1,6 +1,8 @@
 """Matrix assembly of the total complex: dimensions, ranks, classes."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import rand_total
-from cpair import catalog
+from cpair import catalog, documents
 from cpair.cochains import Cochain, TotalCochain, total_delta
 from cpair.cohomology import (TotalComplex, cohomology_basis, cohomology_dim,
                               column_delta_matrix, is_coboundary, is_cocycle,
@@ -152,6 +154,18 @@ def test_is_cocycle_arguments(heis):
     z = TotalCochain.zero(2, heis)
     assert is_cocycle(z, heis)
     assert is_coboundary(z, heis) is not None
+
+
+def test_complex_dies_with_its_pair(heis):
+    """The complex, its scatter tables and the adjoint module are kept on
+    the pair, so a long-lived process does not keep dropped pairs alive."""
+    pair, _ = documents.pair_from_document(documents.pair_to_document(heis))
+    assert total_complex(pair) is total_complex(pair)
+    assert total_complex(pair).rank(2) == total_complex(heis).rank(2)
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
 
 
 def test_representatives_count_mismatch_is_internal_error(heis, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 import oracles
+from cpair import catalog
+from cpair.cohomology import total_complex, total_delta_matrix
 from cpair.errors import InputError
 from cpair.linalg import Echelon, Matrix, nullspace_basis, rank, solve
 
@@ -147,15 +150,40 @@ def _domain(rows, cols):
                         (len(rows), cols), QQ)
 
 
-def _sympy_rref(m: Matrix, b=None):
-    """(RREF rows as Fractions, pivot columns) of m, or of [m | b]."""
+def _sympy_rref(rows, cols, b=None):
+    """(RREF rows as Fractions, pivot columns) of rows, or of [rows | b]."""
     if b is None:
-        dm = _domain(m.entries, m.cols)
+        dm = _domain(rows, cols)
     else:
-        dm = _domain([list(r) + [x] for r, x in zip(m.entries, b)], m.cols + 1)
+        dm = _domain([list(r) + [x] for r, x in zip(rows, b)], cols + 1)
     red, pivots = dm.rref()
     return [[F(int(x.numerator), int(x.denominator)) for x in r]
             for r in red.to_list()], pivots
+
+
+def _rref_nullspace(rows, cols):
+    red, pivots = _sympy_rref(rows, cols)
+    want = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [F(0)] * cols
+        v[free] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][free]
+        want.append(tuple(v))
+    return want
+
+
+def _rref_solution(rows, cols, b):
+    """The free-variables-zero solution, or None for an inconsistent system."""
+    red, pivots = _sympy_rref(rows, cols, b)
+    if cols in pivots:  # a pivot in the right-hand side: inconsistent
+        return None
+    want = [F(0)] * cols
+    for i, p in enumerate(pivots):
+        want[p] = red[i][cols]
+    return tuple(want)
 
 
 @given(matrices())
@@ -167,32 +195,14 @@ def test_rank_matches_sympy(m):
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_kernel_is_the_rref_nullspace_basis(m):
-    red, pivots = _sympy_rref(m)
-    want = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = [F(0)] * m.cols
-        v[free] = F(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][free]
-        want.append(tuple(v))
-    assert nullspace_basis(m) == want
+    assert nullspace_basis(m) == _rref_nullspace(m.entries, m.cols)
 
 
 @given(matrices(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_solve_matches_sympy(m, data):
     b = [data.draw(st.one_of(st.just(F(0)), small_fracs)) for _ in range(m.rows)]
-    red, pivots = _sympy_rref(m, b)
-    got = solve(m, b)
-    if m.cols in pivots:  # a pivot in the right-hand side: inconsistent
-        assert got is None
-        return
-    want = [F(0)] * m.cols
-    for i, p in enumerate(pivots):
-        want[p] = red[i][m.cols]
-    assert got == tuple(want)
+    assert solve(m, b) == _rref_solution(m.entries, m.cols, b)
 
 
 @given(matrices(), st.randoms(use_true_random=False))
@@ -202,3 +212,63 @@ def test_kernel_does_not_depend_on_row_order(m, rng):
     rng.shuffle(rows)
     assert nullspace_basis(rows, m.cols) == nullspace_basis(m)
 
+
+
+# ---------------------------------------------------------------------------
+# the integer engine on wide rationals: mixed denominators, numerators up to
+# 2^70, int and Fraction entries in one row
+# ---------------------------------------------------------------------------
+
+huge = st.integers(-2 ** 70, 2 ** 70)
+wide = st.one_of(st.just(0), st.just(F(0)), huge, small_fracs,
+                 st.builds(F, huge, st.integers(1, 2 ** 70)))
+
+
+@st.composite
+def wide_rows(draw, max_dim=5):
+    """(dense rows of mixed int / Fraction entries, column count)."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    return draw(st.lists(st.lists(wide, min_size=c, max_size=c),
+                         min_size=r, max_size=r)), c
+
+
+def _all_fractions(vectors):
+    return all(isinstance(x, F) for v in vectors for x in v)
+
+
+@given(wide_rows())
+@settings(max_examples=80, deadline=None)
+def test_wide_rank_and_kernel_match_sympy(system):
+    rows, cols = system
+    assert rank(rows, cols) == _domain(rows, cols).rank()
+    kernel = nullspace_basis(rows, cols)
+    assert kernel == _rref_nullspace(rows, cols)
+    assert _all_fractions(kernel)
+
+
+@given(wide_rows(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_wide_solve_matches_sympy(system, data):
+    rows, cols = system
+    b = data.draw(st.lists(wide, min_size=len(rows), max_size=len(rows)))
+    got = solve(rows, b, cols)
+    assert got == _rref_solution(rows, cols, b)  # None iff inconsistent
+    assert got is None or _all_fractions([got])
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_public_values_are_fractions(name):
+    """Elimination runs on ints, but kernels, solutions and the matrices of
+    the total differential hand out Fractions."""
+    tc = total_complex(catalog.get(name).pair)
+    rng = random.Random(name)
+    for n in range(4):
+        assert _all_fractions(tc.kernel(n))
+        assert _all_fractions(total_delta_matrix(n, tc.pair).entries)
+        if n:
+            x = [rng.randint(-3, 3) for _ in range(tc.dim(n - 1))]
+            b = [v.numerator if v.denominator == 1 else v
+                 for v in tc.apply_flat(n - 1, x)]  # ints where integral
+            sol = solve(tc.rows(n - 1), b, tc.dim(n - 1))
+            assert sol is not None and _all_fractions([sol])
