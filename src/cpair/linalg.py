@@ -237,22 +237,25 @@ class Echelon:
             red[col] = _primitive(r.items())
         return red
 
-    def kernel(self):
-        """A basis of the null space, as length-ncols tuples of Fractions.
+    def sparse_kernel(self):
+        """A basis of the null space, as {col: Fraction} vectors, zeros left out.
 
-        One vector per free column: that coordinate is 1 and the pivot
-        coordinates are back-substituted from the RREF.
+        One vector per free column, in column order: that coordinate is 1
+        and the pivot coordinates are back-substituted from the RREF.
         """
         red = self._rref()
-        basis = {f: [ZERO] * self.ncols for f in range(self.ncols) if f not in red}
-        for f, v in basis.items():
-            v[f] = ONE
+        basis = {f: {f: ONE} for f in range(self.ncols) if f not in red}
         for col, r in red.items():
             lead = r[col]
             for j, x in r.items():
                 if j != col:
                     basis[j][col] = Fraction(-x, lead)
-        return [tuple(v) for v in basis.values()]
+        return list(basis.values())
+
+    def kernel(self):
+        """The ``sparse_kernel`` basis as length-ncols tuples of Fractions."""
+        return [tuple(v.get(j, ZERO) for j in range(self.ncols))
+                for v in self.sparse_kernel()]
 
 
 def _system(m, ncols):

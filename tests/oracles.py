@@ -12,12 +12,16 @@ of p argument indices and v a value index; flat order is row-major over
 coordinates, columns by source coordinates (matrix * coordinates of f =
 coordinates of delta f).
 
-The deformation-equation oracle at the end is the dense, key-by-key
-evaluator cpair used before it contracted nonzero entries only.
+The per-key scatter of the total differential (``up_entries``,
+``down_entries``, ``block_scatter``) is the generator-per-basis-cochain
+assembly cpair used before its array kernel; the deformation-equation
+oracle at the end is the dense, key-by-key evaluator cpair used before it
+contracted nonzero entries only.
 """
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -150,6 +154,134 @@ def complex_cohomology_dim(out_matrix, in_matrix, dim):
     """dim ker(out) - rank(in) for consecutive coboundaries."""
     ker = dim - rank(out_matrix)
     return ker - (rank(in_matrix) if in_matrix is not None else 0)
+
+
+# ---------------------------------------------------------------------------
+# the total differential, scattered one basis cochain at a time
+# ---------------------------------------------------------------------------
+#
+# The per-key generators cpair assembled with before its array kernel: for
+# one basis cochain of C^{p,q}, the target keys it hits and their values,
+# read from the pair's and the module's structure tensors inverted once.
+
+def _nonzero(arr):
+    """Nested lists over all but the last axis of a coefficient tensor; each
+    innermost list holds the (index, value) of the nonzero entries along the
+    last axis, values as exact ints where integral."""
+    if arr.ndim > 1:
+        return [_nonzero(sub) for sub in arr]
+    return [(w, c.numerator if c.denominator == 1 else c)
+            for w, c in enumerate(arr) if c]
+
+
+def _inverted(arr):
+    """Per index s of the last axis, the (other indices..., value) of the
+    nonzero entries of arr at s: what lands on the basis element s."""
+    out = [[] for _ in range(arr.shape[-1])]
+    for idx in np.ndindex(arr.shape[:-1]):
+        for s, c in _nonzero(arr[idx]):
+            out[s].append(idx + (c,))
+    return out
+
+
+def scatter_tables(pair, module):
+    """The nonzero structure constants ``up_entries``/``down_entries`` read."""
+    return SimpleNamespace(
+        dA=pair.A.dim, dL=pair.L.dim,
+        mul_inv=_inverted(pair.A.mul), bracket_inv=_inverted(pair.L.bracket),
+        muT=[_inverted(d.matrix) for d in pair.mu],
+        **{name: _nonzero(getattr(module, attr)) for name, attr in (
+            ("phi", "phi"), ("left", "left_act"), ("right", "right_act"),
+            ("M_left", "M_left"), ("M_right", "M_right"),
+            ("P_left", "P_left"), ("P_right", "P_right"))})
+
+
+def up_entries(tabs, p, q, key):
+    """Scatter of delta_v (p=0) / delta_H (p>0) applied to one basis cochain.
+
+    Yields (target_key, coeff) with the target in bidegree (p+1, q).
+    """
+    dA = tabs.dA
+    at, xt, v = key[:p], key[p:p + q], key[p + q]
+    if p == 0:
+        for a in range(dA):
+            for w, c in tabs.phi[v][a]:
+                yield (a,) + xt + (w,), c
+        return
+    for b0 in range(dA):
+        for w, c in tabs.left[b0][v]:
+            yield (b0,) + at + xt + (w,), c
+    for k in range(p):
+        neg = k % 2 == 0  # sign (-1)^(k+1), k 0-based
+        for u, vv, c in tabs.mul_inv[at[k]]:
+            yield at[:k] + (u, vv) + at[k + 1:] + xt + (v,), -c if neg else c
+    last_neg = p % 2 == 0  # sign (-1)^(p+1)
+    for bp in range(dA):
+        for w, c in tabs.right[v][bp]:
+            yield at + (bp,) + xt + (w,), -c if last_neg else c
+
+
+def down_entries(tabs, p, q, key):
+    """Scatter of leibniz_delta (with its (-1)^(q+1) prefactor, but without
+    the (-1)^p total-complex sign) applied to one basis cochain.
+
+    Yields (target_key, coeff) with the target in bidegree (p, q+1).
+    """
+    dL = tabs.dL
+    at, xt, v = key[:p], key[p:p + q], key[p + q]
+    eps_neg = q % 2 == 0  # the prefactor (-1)^(q+1)
+    left = tabs.M_left if p else tabs.P_left
+    right = tabs.M_right if p else tabs.P_right
+    for z in range(dL):
+        for i in range(1, q + 2):
+            if i <= q:
+                neg = i % 2 == 0  # (-1)^(i-1)
+                yt = xt[:i - 1] + (z,) + xt[i - 1:]
+                entries = left[z][v]
+                corr_neg = not neg
+            else:
+                neg = q % 2 == 0  # (-1)^(q+1)
+                yt = xt + (z,)
+                entries = right[v][z]
+                corr_neg = neg
+            neg, corr_neg = neg != eps_neg, corr_neg != eps_neg  # times eps
+            for w, c in entries:
+                yield at + yt + (w,), -c if neg else c
+            for k in range(p):
+                for u, c in tabs.muT[z][at[k]]:
+                    yield (at[:k] + (u,) + at[k + 1:] + yt + (v,),
+                           -c if corr_neg else c)
+    for i in range(1, q + 2):
+        neg = (i % 2 == 1) != eps_neg  # (-1)^i times the prefactor
+        for j in range(i + 1, q + 2):
+            for u, w, c in tabs.bracket_inv[xt[j - 2]]:
+                yt = list(xt[:i - 1]) + [u] + list(xt[i - 1:])
+                yt[j - 1] = w
+                yield at + tuple(yt) + (v,), -c if neg else c
+
+
+def block_scatter(pair, module, p, q, kind, tabs):
+    """The block map delta_H/delta_v ("up") or (-1)^p delta_L ("down") from
+    C^{p,q} as {(row, col): value}, block-local row-major flat indices, by
+    the per-key generators over ``scatter_tables(pair, module)``;
+    duplicates summed and zeros dropped."""
+    dA, dL = pair.A.dim, pair.L.dim
+
+    def shape(pp, qq):
+        return (dA,) * pp + (dL,) * qq + (module.M_dim if pp else module.P_dim,)
+
+    gen, tp, tq = ((up_entries, p + 1, q) if kind == "up"
+                   else (down_entries, p, q + 1))
+    sign = -1 if kind == "down" and p % 2 else 1
+    strides = [1]
+    for extent in reversed(shape(tp, tq)[1:]):
+        strides.insert(0, strides[0] * extent)
+    out = {}
+    for col, key in enumerate(product(*map(range, shape(p, q)))):
+        for tkey, c in gen(tabs, p, q, key):
+            row = sum(k * st for k, st in zip(tkey, strides))
+            out[row, col] = out.get((row, col), 0) + sign * c
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

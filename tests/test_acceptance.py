@@ -5,10 +5,10 @@ criterion at the end of the run.  Every assertion below is exact Fraction
 arithmetic: "equal" always means literal equality, never approximate.
 
 Criterion 1 runs the coboundary identities through precomputed scatter
-tables built from the library's own differential generators (fast enough
-for 100 cochains per bidegree on every catalog pair); a subsample of every
-batch is certified against the direct evaluation route so the fast path
-proves nothing the slow path would not.
+tables read from the library's assembly kernel (fast enough for 100
+cochains per bidegree on every catalog pair); a subsample of every batch is
+certified against the direct evaluation route so the fast path proves
+nothing the slow path would not.
 """
 
 import itertools
@@ -28,7 +28,7 @@ from cpair.cli import _total_json
 from cpair.cochains import (Cochain, TotalCochain, gerstenhaber,
                             hochschild_delta, leibniz_delta, module_action,
                             total_delta, vertical_delta)
-from cpair.cohomology import (_down_entries, _up_entries, column_delta_matrix,
+from cpair.cohomology import (_assemble, column_delta_matrix,
                               row_delta_matrix, total_complex,
                               total_delta_matrix)
 from cpair.deformations import (Deformation, Equivalence, apply_equivalence,
@@ -45,21 +45,26 @@ BIDEGREES = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 # criterion 1: the squares and commutators of the bicomplex
 # --------------------------------------------------------------------------
 
-def _scatter(pair, module, p, q, kind):
-    """delta restricted to bidegree (p, q) as {source key: [(target key, c)]}."""
+def _scatter(tcx, p, q, kind):
+    """delta restricted to bidegree (p, q) as {source key: [(target key, c)]},
+    read from the library's assembly kernel; the down map's total-complex
+    sign (-1)^p is taken off again, so that "down" is delta_L itself."""
+    pair, module = tcx.pair, tcx.module
     dA, dL = pair.A.dim, pair.L.dim
     vdim = module.M_dim if p else module.P_dim
     src_shape = (dA,) * p + (dL,) * q + (vdim,)
-    gen, tp, tq = ((_up_entries, p + 1, q) if kind == "up"
-                   else (_down_entries, p, q + 1))
+    tp, tq = (p + 1, q) if kind == "up" else (p, q + 1)
     tvdim = module.M_dim if tp else module.P_dim
     tgt_shape = (dA,) * tp + (dL,) * tq + (tvdim,)
-    table = {}
-    for key in np.ndindex(*src_shape):
-        acc = defaultdict(lambda: F(0))
-        for tkey, c in gen(pair, module, p, q, key):
-            acc[tkey] += c
-        table[key] = tuple((k, c) for k, c in acc.items() if c)
+    sign = -1 if kind == "down" and p % 2 else 1
+    acc = {key: defaultdict(lambda: F(0)) for key in np.ndindex(*src_shape)}
+    e = _assemble([(tcx.block_maps(p, q)[kind == "down"], 0, 0)])
+    keys = (zip(*(a.tolist() for a in np.unravel_index(idx, shape)))
+            for idx, shape in ((e.col, src_shape), (e.row, tgt_shape)))
+    for key, tkey, c in zip(*keys, e.val.tolist()):
+        acc[key][tkey] += sign * c
+    table = {key: tuple((k, c) for k, c in a.items() if c)
+             for key, a in acc.items()}
     return table, tgt_shape
 
 
@@ -76,11 +81,12 @@ def _apply(scattered, coeffs):
 def test_criterion_1_bicomplex_identities(all_pairs):
     for name, pair in all_pairs:
         module = adjoint_module(pair)
+        tcx = total_complex(pair)
         maps = {}
 
         def delta(kind, p, q):
             if (kind, p, q) not in maps:
-                maps[kind, p, q] = _scatter(pair, module, p, q, kind)
+                maps[kind, p, q] = _scatter(tcx, p, q, kind)
             return maps[kind, p, q]
 
         rng = Random(f"c1-{name}")
@@ -107,7 +113,6 @@ def test_criterion_1_bicomplex_identities(all_pairs):
                     assert (up == vert(c, pair, module).coeffs).all()
                     assert (down == leibniz_delta(c, pair, module).coeffs).all()
         # total_delta^2 = 0, through the assembled sparse matrices
-        tcx = total_complex(pair)
         for n in (0, 1, 2):
             idx = tcx.index(n)
             for _ in range(100):

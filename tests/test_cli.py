@@ -4,6 +4,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,26 @@ def test_degree_cap_refusal_and_force(heis_file, capsys, monkeypatch):
                  "hochschild"]) == 0
     monkeypatch.setenv("CPAIR_DEGREE_CAP", "not-a-number")
     assert main(["cohomology", heis_file, "--degree", "1"]) == 2
+
+
+@pytest.mark.parametrize("column, degree", [
+    ("total", 12), ("leibniz", 12), ("hochschild", 12), ("total", 40)])
+def test_oversized_differential_is_exit_2(tmp_path, hemi, capsys, column,
+                                          degree):
+    """With --force nothing caps the degree, but the assembly counts the
+    entries of d^12 from its structure-constant groups and refuses before
+    allocating index arrays of that size (without the check this would
+    run for hours or end in a MemoryError); at degree 40 the blocks are
+    beyond 64-bit indices altogether."""
+    path = write_doc(tmp_path, "hemi.json", documents.pair_to_document(hemi))
+    t0 = time.perf_counter()
+    assert main(["cohomology", path, "--degree", str(degree), "--force",
+                 "--column", column]) == 2
+    assert time.perf_counter() - t0 < 30
+    err = capsys.readouterr().err
+    assert f"degree-{degree} differential" in err and "Traceback" not in err
+    if degree == 12:
+        assert "above the limit" in err and "MB" in err
 
 
 def test_cohomology_refuses_an_invalid_pair(tmp_path, heis, capsys):

@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import rand_total
-from cpair import catalog, documents
+from conftest import rand_coeffs, rand_total
+from cpair import catalog, cohomology, documents
 from cpair.cochains import Cochain, TotalCochain, total_delta
-from cpair.cohomology import (TotalComplex, cohomology_basis, cohomology_dim,
-                              column_delta_matrix, is_coboundary, is_cocycle,
-                              row_delta_matrix, total_complex,
-                              total_delta_matrix, total_space_dim)
+from cpair.cohomology import (TotalComplex, _assemble, cohomology_basis,
+                              cohomology_dim, column_delta_matrix,
+                              is_coboundary, is_cocycle, row_delta_matrix,
+                              total_complex, total_delta_matrix,
+                              total_space_dim)
 from cpair.errors import InputError, InternalError
 from cpair.linalg import Matrix, rank
-from cpair.structures import (AssocAlgebra, CourantPair, LeibnizAlgebra,
-                              tensor, zero_tensor)
+from cpair.structures import (AssocAlgebra, CourantPair, CPModule,
+                              LeibnizAlgebra, adjoint_module, tensor,
+                              zero_tensor)
 
 F = Fraction
 
@@ -189,6 +191,22 @@ def test_pinned_high_degree(name, n, pinned):
     assert got == pinned
 
 
+def test_index_cell_limit_is_checked_before_assembly(heis, monkeypatch):
+    """The library entry points refuse a differential whose assembly needs
+    more than MAX_INDEX_CELLS index cells (entries plus terms x sources),
+    with an InputError stating the estimate, before assembling it."""
+    monkeypatch.setattr(cohomology, "MAX_INDEX_CELLS", 7100)
+    tc = TotalComplex(heis)
+    assert tc.rank(2) == total_complex(heis).rank(2)  # 1242 cells
+    with pytest.raises(InputError, match="degree-3 differential has 3618 "
+                       "nonzero entries; assembling it takes 7101 index cells"):
+        tc.rank(3)
+    assert 3 not in tc._trips
+    assert column_delta_matrix(4, heis).cols == 243  # 6075 cells
+    with pytest.raises(InputError, match="has 157464 nonzero entries"):
+        column_delta_matrix(7, heis)
+
+
 @given(st.sampled_from(catalog.names()), st.integers(1, 3),
        st.integers(0, 10 ** 6), st.sampled_from((0.02, 0.1, 0.5)))
 @settings(max_examples=30, deadline=None)
@@ -206,3 +224,112 @@ def test_support_delta_checks_shapes(heis, dual):
     c = TotalCochain.zero(2, heis)
     with pytest.raises(InputError):
         total_complex(dual).delta(c)
+
+
+# ---------------------------------------------------------------------------
+# the assembly kernel against the per-key oracle scatter
+# ---------------------------------------------------------------------------
+
+def _module_document_pair():
+    """heisenberg with a generic module (M = Q^2, P = Q^4, sparse tensors
+    with fractional entries; not adjoint, and no module laws are needed to
+    compare two evaluations of the same formulas), read back from its
+    document."""
+    rng = random.Random(5)
+    heis = catalog.get("heisenberg").pair
+    dA, dL, dM, dP = heis.A.dim, heis.L.dim, 2, 4
+
+    def tensor_of(*shape):
+        return rand_coeffs(rng, shape, density=0.3, span=3)
+
+    module = CPModule(dM, dP, tensor_of(dA, dM, dM), tensor_of(dM, dA, dM),
+                      tensor_of(dL, dM, dM), tensor_of(dM, dL, dM),
+                      tensor_of(dL, dP, dP), tensor_of(dP, dL, dP),
+                      tensor_of(dP, dA, dM))
+    return documents.pair_from_document(documents.pair_to_document(heis, module))
+
+
+_KERNEL_CASES = [*catalog.names(), "module document"]
+
+
+def _case(name):
+    if name == "module document":
+        return _module_document_pair()
+    pair = catalog.get(name).pair
+    return pair, adjoint_module(pair)
+
+
+def _exact_values(values):
+    return all(type(v) in (int, F) for v in values)
+
+
+@pytest.mark.parametrize("name", _KERNEL_CASES)
+def test_block_maps_match_the_per_key_oracle(name):
+    """Every block map of the array kernel, p + q <= 4, equals the per-key
+    scatter of ``oracles.block_scatter`` entry by entry."""
+    pair, module = _case(name)
+    tc = TotalComplex(pair, module)
+    tabs = oracles.scatter_tables(pair, module)
+    for n in range(5):
+        for p in range(n + 1):
+            for kind, m in zip(("up", "down"), tc.block_maps(p, n - p)):
+                e = _assemble([(m, 0, 0)])
+                assert _exact_values(e.val.tolist())
+                got = {}
+                for r, c, v in e:
+                    got[r, c] = got.get((r, c), 0) + v
+                got = {k: v for k, v in got.items() if v}
+                assert got == oracles.block_scatter(pair, module, p, n - p,
+                                                    kind, tabs), (p, n - p, kind)
+
+
+def _rand_module_total(rng, tc, n, density):
+    idx = tc.index(n)
+    return TotalCochain(n, tuple(Cochain(b.p, b.q, rand_coeffs(rng, b.shape, density))
+                                 for b in idx.blocks))
+
+
+@pytest.mark.parametrize("name", _KERNEL_CASES)
+def test_support_delta_matches_the_per_key_oracle(name):
+    """``delta`` on random sparse supports equals the oracle scatter of the
+    same nonzero coordinates; triplets, rows, columns and delta hand out
+    only exact Python ints and Fractions."""
+    pair, module = _case(name)
+    tc = TotalComplex(pair, module)
+    tabs = oracles.scatter_tables(pair, module)
+    rng = random.Random(f"delta-{name}")
+    for n in range(4):
+        maps = {(b.p, b.q, kind): oracles.block_scatter(pair, module, b.p, b.q,
+                                                         kind, tabs)
+                for b in tc.index(n).blocks for kind in ("up", "down")}
+        dst = tc.index(n + 1)
+        for density in (0.01, 0.05, 0.3):
+            c = _rand_module_total(rng, tc, n, density)
+            want = {}
+            for b, comp in zip(tc.index(n).blocks, c.components):
+                x = comp.coeffs.ravel()
+                for d, kind in enumerate(("up", "down")):
+                    off = dst.blocks[b.q + d].offset
+                    for (r, col), v in maps[b.p, b.q, kind].items():
+                        if x[col]:
+                            want[off + r] = want.get(off + r, 0) + v * x[col]
+            got = tc.delta(c)
+            assert got == {r: v for r, v in want.items() if v}
+            assert _exact_values(got.values())
+            assert all(type(r) is int for r in got)
+        e = tc.triplets(n)
+        assert _exact_values(v for _, _, v in e)
+        assert all(_exact_values(d.values()) for d in tc.rows(n) + tc.columns(n))
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("heisenberg", (4, 90, 648, 3618, 17820, 81162)),
+    ("hemisemidirect_demo", (8, 162, 1617, 13159)),
+    ("dual_numbers_line", (0, 18, 48, 120, 288, 672, 1536)),
+])
+def test_pinned_entry_counts(name, counts):
+    """len(triplets(n)) for each catalog differential: one entry per source
+    basis cochain and structure-constant group that hits it, as the per-key
+    scatter counted them (the benchmark's ``cohomology.nnz`` reads this)."""
+    tc = TotalComplex(catalog.get(name).pair)
+    assert tuple(len(tc.triplets(n)) for n in range(len(counts))) == counts

@@ -259,12 +259,14 @@ def test_wide_solve_matches_sympy(system, data):
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_public_values_are_fractions(name):
-    """Elimination runs on ints, but kernels, solutions and the matrices of
-    the total differential hand out Fractions."""
+    """Elimination runs on ints, but kernels (sparse in the complex, dense
+    from ``Echelon.kernel``), solutions and the matrices of the total
+    differential hand out Fractions."""
     tc = total_complex(catalog.get(name).pair)
     rng = random.Random(name)
     for n in range(4):
-        assert _all_fractions(tc.kernel(n))
+        assert _all_fractions(v.values() for v in tc.kernel(n))  # sparse
+        assert _all_fractions(tc.echelon(n).kernel())
         assert _all_fractions(total_delta_matrix(n, tc.pair).entries)
         if n:
             x = [rng.randint(-3, 3) for _ in range(tc.dim(n - 1))]
