@@ -185,8 +185,7 @@ def _space_dim(column, n, pair, module):
         return pdim * dL ** n
     if column == "hochschild":
         return pdim if n == 0 else mdim * dA ** n
-    return sum((pdim if p == 0 else mdim) * dA ** p * dL ** (n - p)
-               for p in range(n + 1))
+    return total_complex(pair, module).dim(n)
 
 
 def cmd_cohomology(args) -> int:
@@ -217,11 +216,11 @@ def cmd_cohomology(args) -> int:
     classes = None
     if args.column == "total":
         tc = total_complex(pair, module)
+        if args.classes:  # first: rank d^n then comes from its kernel's echelon
+            classes = tc.representatives(n)
         dim = tc.dim(n)
         rank_out = tc.rank(n)
         rank_in = tc.rank(n - 1)
-        if args.classes:
-            classes = tc.representatives(n)
     else:
         dim = _space_dim(args.column, n, pair, module)
         rank_out = axis_rank(args.column, n, pair, module)

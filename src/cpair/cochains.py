@@ -65,7 +65,9 @@ class Cochain:
             raise InputError(
                 f"coefficient tensor has {self.coeffs.ndim} axes, "
                 f"need {self.p + self.q + 1} for bidegree ({self.p},{self.q})")
-        self.coeffs.setflags(write=False)
+        coeffs = self.coeffs.copy()  # the caller's array stays theirs
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
 

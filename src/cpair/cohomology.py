@@ -16,17 +16,26 @@ So each term is a table of groups, one per nonzero constant; a group hits
 every source key whose fixed coordinate has the constant's value, and its
 target flat index is an affine function of the source multi-index.  The
 kernel computes the rows and columns of the entries of all the terms of a
-block map in a fixed number of numpy int64 operations.  Only indices live
-in numpy: each group's value is an exact Python int (wherever the constant
-is integral) or Fraction, held in an object array, and duplicates are
-summed by Python's own addition after a sort.  Run on the whole block it
+block map in a fixed number of numpy int64 operations.  Each group has an
+exact value (a Python int wherever the constant is integral, else a
+Fraction) and that value times the common denominator D of all the
+constants (int64 where it fits).  With the exact values the kernel
 assembles the matrix (``triplets``, ``rows``, ``columns``, the axis
-matrices), after an estimate of its size that refuses a differential too
-large to index (``MAX_INDEX_CELLS``); run on the nonzero coordinates of
-one cochain (``TotalComplex.delta``) it is the production closedness check
-(``is_cocycle``, Theta, the catalog), with no matrix built.  The direct
+matrices), and run on the nonzero coordinates of one cochain
+(``TotalComplex.delta``) it is the production closedness check
+(``is_cocycle``, Theta, the catalog), with no matrix built.
+
+Ranks take the integer values, since D delta has the rank and kernel of
+delta: ``_lines`` sums duplicates in int64 where a bound allows and makes
+each line primitive in numpy, so no Fraction exists between the
+structure constants and the pivots.  ``rank`` runs one clearing pass up
+the degrees (``TotalComplex._clear``, Chen-Kerber's "twist"): the columns
+of delta^k at the pivots of the column echelon of delta^{k-1} are dropped
+and only the rest is eliminated.  A differential is sized up before
+anything is indexed or assembled, from dim C^n in closed form and then
+from its block maps, and refused above ``MAX_INDEX_CELLS``.  The direct
 evaluators in ``cochains`` and the per-key scatter in the tests' oracles
-share only the structure tensors with it and stay the independent
+share only the structure tensors with the kernel and stay the independent
 cross-checks.
 """
 
@@ -35,14 +44,14 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 import numpy as np
 
 from .cochains import Cochain, TotalCochain, _shape
 from .errors import InputError, InternalError
-from .linalg import Echelon, Matrix, rank, solve
+from .linalg import Echelon, Matrix, solve
 from .structures import CourantPair, CPModule, adjoint_module
 
 ZERO = Fraction(0)
@@ -60,9 +69,10 @@ _Block = namedtuple("_Block", "p q shape offset size")
 # index (``consts``) and its exact value (``vals``); row t of ``weights``
 # holds the target strides of the carried-over source axes, 0 on the
 # fixed one.  ``size``/``tsize`` are the block sizes, ``count`` the number
-# of entries of the whole map.
+# of entries of the whole map.  ``ivals`` are the values times the common
+# denominator D of the structure constants (see ``_groups``).
 _Map = namedtuple("_Map", "shape size tsize count axes weights soff starts "
-                          "consts vals")
+                          "consts vals ivals")
 
 
 def _strides(shape):
@@ -80,23 +90,33 @@ _AXES = {"mul": (2, 0, 1), "bracket": (2, 1, 0), "mu": (2, 1, 0),
 def _groups(pair: CourantPair, module: CPModule) -> dict:
     """Per structure tensor, its nonzero entries sorted by the fixed
     coordinate s: (where each s starts, replacement, insertion, values,
-    negated values), the values exact ints wherever they are integral."""
+    negated values, integer values, negated integer values).  The values
+    are exact, ints wherever they are integral; the integer values are
+    the values times the common denominator D of all the constants, int64
+    where they fit and Python ints otherwise, so they assemble D delta."""
     dA = pair.A.dim
     tensors = {"mul": pair.A.mul, "bracket": pair.L.bracket,
                "mu": np.array([d.matrix for d in pair.mu],
                               dtype=object).reshape(-1, dA, dA)}
-    out = {}
+    found = {}
     for name, axes in _AXES.items():
         arr = tensors[name] if name in tensors else getattr(module, name)
         idx = np.nonzero(arr)
         order = np.argsort(idx[axes[0]], kind="stable")
-        vals = np.empty(len(order), dtype=object)
-        vals[:] = [c.numerator if c.denominator == 1 else c
-                   for c in arr[idx][order]]
         starts = np.searchsorted(idx[axes[0]][order],
                                  np.arange(arr.shape[axes[0]] + 1))
-        out[name] = (starts, idx[axes[1]][order], idx[axes[2]][order],
-                     vals, -vals)
+        found[name] = (starts, idx[axes[1]][order], idx[axes[2]][order],
+                       arr[idx][order].tolist())
+    den = lcm(*{c.denominator for *_, cs in found.values() for c in cs})
+    out = {}
+    for name, (starts, rep, ins, cs) in found.items():
+        vals = np.empty(len(cs), dtype=object)
+        vals[:] = [c.numerator if c.denominator == 1 else c for c in cs]
+        ints = (vals.tolist() if den == 1 else
+                [c.numerator * (den // c.denominator) for c in cs])
+        big = max(map(abs, ints), default=0) >= 2 ** 62
+        ivals = np.array(ints, object if big else np.int64)
+        out[name] = (starts, rep, ins, vals, -vals, ivals, -ivals)
     return out
 
 
@@ -133,18 +153,25 @@ def _maps(groups, pair: CourantPair, module: CPModule, p: int, q: int):
     an empty block has no terms."""
     shape = _shape(p, q, pair, module)
     size = prod(shape)
-    out = []
-    for tshape, terms in zip((_shape(p + 1, q, pair, module),
-                              _shape(p, q + 1, pair, module)), _terms(p, q)):
+    tshapes = (_shape(p + 1, q, pair, module), _shape(p, q + 1, pair, module))
+    for tshape in tshapes:
         if prod(tshape) >= 2 ** 62:
-            raise InputError(f"the degree-{p + q} differential reaches a block "
-                             f"of {prod(tshape)} coordinates, beyond 64-bit indices")
+            raise InputError(f"the degree-{p + q} differential reaches a block of "
+                             f"{_count(prod(tshape))} coordinates, beyond 64-bit indices")
+    # the number of terms ``_terms`` lists, each with p+q+1 weights
+    cells = ((p + 2 if p else 1) + 1 + q + p * (q + 1) + q * (q + 1) // 2) * (p + q + 1)
+    if cells > MAX_INDEX_CELLS:
+        raise InputError(f"the degree-{p + q} differential's terms on block "
+                         f"({p},{q}) take {cells} index cells, above the "
+                         f"limit of {MAX_INDEX_CELLS}")
+    out = []
+    for tshape, terms in zip(tshapes, _terms(p, q)):
         tstr = _strides(tshape)
         terms = terms if size else []
-        axes, weights, soff, starts, consts, vals = [], [], [], [], [], []
+        axes, weights, soff, starts, consts, vals, ivals = ([] for _ in range(7))
         count = ngroups = nstarts = 0
         for name, alpha, beta, sign in terms:
-            first, rep, ins, pos_vals, neg_vals = groups[name]
+            first, rep, ins, pos_vals, neg_vals, pos_ints, neg_ints = groups[name]
             pos = [a + (a >= beta) for a in range(len(shape))]
             axes.append(alpha)
             weights.append([0 if a == alpha else tstr[pos[a]]
@@ -153,6 +180,7 @@ def _maps(groups, pair: CourantPair, module: CPModule, p: int, q: int):
             starts.append(first + ngroups)
             consts.append(rep * tstr[pos[alpha]] + ins * tstr[beta])
             vals.append(pos_vals if sign > 0 else neg_vals)
+            ivals.append(pos_ints if sign > 0 else neg_ints)
             count += len(rep) * size // shape[alpha]
             ngroups += len(rep)
             nstarts += shape[alpha] + 1
@@ -161,14 +189,16 @@ def _maps(groups, pair: CourantPair, module: CPModule, p: int, q: int):
             np.array(weights, np.int64).reshape(-1, len(shape)),
             np.array(soff, np.int64).reshape(-1, 1),
             *(np.concatenate([np.empty(0, dt)] + a) for a, dt in
-              ((starts, np.int64), (consts, np.int64), (vals, object)))))
+              ((starts, np.int64), (consts, np.int64), (vals, object),
+               (ivals, np.int64)))))
     return tuple(out)
 
 
-def _hits(m: _Map, src):
+def _hits(m: _Map, src, ints=False):
     """The entries of block map m from the sources with block-local flat
     indices ``src``: (position in src, target row, value) arrays, one
-    entry per source, term and group whose fixed coordinate it matches.
+    entry per source, term and group whose fixed coordinate it matches,
+    the values exact or, with ``ints``, D times those.
     The work is a fixed number of numpy operations on index arrays."""
     keys = np.array(np.unravel_index(src, m.shape), np.int64)
     at = (keys[m.axes] + m.soff).ravel()  # (term, source) -> its groups
@@ -179,7 +209,12 @@ def _hits(m: _Map, src):
     hit = np.repeat(np.arange(len(at)), cnt)  # entry -> (term, source)
     g = np.repeat(first - ends + cnt, cnt) + np.arange(total)
     rows = (m.weights @ keys).ravel()[hit] + m.consts[g]
-    return hit % max(len(src), 1), rows, m.vals[g]
+    return hit % max(len(src), 1), rows, (m.ivals if ints else m.vals)[g]
+
+
+def _count(x: int) -> str:
+    """x in decimal, or when it is huge the power of two it rounds down to."""
+    return str(x) if x < 10 ** 100 else f"~2^{x.bit_length() - 1}"
 
 
 class _Entries:
@@ -199,11 +234,11 @@ class _Entries:
         return zip(self.row.tolist(), self.col.tolist(), self.val.tolist())
 
 
-def _assemble(plan) -> _Entries:
-    """The entries of the block maps in ``plan`` ((map, col offset, row
-    offset) triples, all from blocks of one degree) from all their sources,
-    after checking the index cells this takes against ``MAX_INDEX_CELLS``
-    before anything of that size is allocated."""
+def _check_cells(plan) -> None:
+    """Refuse, before anything of that size is allocated, the block maps in
+    ``plan`` ((map, col offset, row offset) triples, all from blocks of one
+    degree) if assembling them takes more than ``MAX_INDEX_CELLS`` index
+    cells."""
     count = sum(m.count for m, _, _ in plan)
     cells = count + sum(len(m.axes) * m.size for m, _, _ in plan)
     if cells > MAX_INDEX_CELLS:
@@ -212,8 +247,19 @@ def _assemble(plan) -> _Entries:
             f"the degree-{n} differential has {count} nonzero entries; "
             f"assembling it takes {cells} index cells (at least "
             f"{cells * 8 // 10 ** 6} MB), above the limit of {MAX_INDEX_CELLS}")
-    parts = [(r + roff, j + coff, v) for m, coff, roff in plan
-             for j, r, v in [_hits(m, np.arange(m.size))]]
+
+
+def _assemble(plan, ints=False, kept=None) -> _Entries:
+    """The entries of the block maps in ``plan`` from all their sources, or
+    from those where the flat mask ``kept`` is set, after ``_check_cells``;
+    the values exact or, with ``ints``, D times those."""
+    _check_cells(plan)
+    parts = []
+    for m, coff, roff in plan:
+        src = (np.arange(m.size) if kept is None
+               else np.flatnonzero(kept[coff:coff + m.size]))
+        j, r, v = _hits(m, src, ints)
+        parts.append((r + roff, src[j] + coff, v))
     return _Entries(*(np.concatenate(a) for a in zip(*parts)))
 
 
@@ -229,14 +275,26 @@ def _summed(key, val):
     return key[keep], val[keep]
 
 
-def _lines(count, major, minor, val, width):
+def _lines(count, major, minor, val, width, primitive=False):
     """``count`` {minor: value} dicts, one per major index, duplicates
-    added: the rows of a matrix, or with the roles swapped its columns."""
+    added: the rows of a matrix, or with the roles swapped its columns.
+    With ``primitive`` the values are integers, each line is divided by
+    its content and signed so its first entry is positive (the rows
+    ``Echelon._of_primitive`` takes), and duplicates are added in int64
+    only where the entry count times the largest value stays below 2^63."""
+    if primitive and val.dtype != object and len(val) \
+            and int(np.abs(val).max()) * len(val) >= 2 ** 63:
+        val = val.astype(object)
     width = max(width, 1)
     key, val = _summed(major * width + minor, val)
+    sizes = np.bincount(key // width, minlength=count)
+    if primitive and len(key):
+        first = (np.cumsum(sizes) - sizes)[sizes > 0]
+        g = np.gcd.reduceat(np.abs(val), first)
+        g[val[first] < 0] *= -1
+        val = val // np.repeat(g, sizes[sizes > 0])
     entries = zip((key % width).tolist(), val.tolist())
-    return [dict(itertools.islice(entries, k))
-            for k in np.bincount(key // width, minlength=count).tolist()]
+    return [dict(itertools.islice(entries, k)) for k in sizes.tolist()]
 
 
 class GradedBasisIndex:
@@ -314,6 +372,8 @@ class TotalComplex:
         self._cols = {}
         self._echelons = {}
         self._kernels = {}
+        self._ranks = {}
+        self._cleared = (-1, [])  # the pass's last degree and its pivots
 
     # -- coordinates -------------------------------------------------------
 
@@ -323,7 +383,13 @@ class TotalComplex:
         return self._index[n]
 
     def dim(self, n: int) -> int:
-        return self.index(n).total_dim if n >= 0 else 0
+        """dim C^n = (dim P) l^n + (dim M) sum_{p=1..n} a^p l^(n-p), where
+        a = dim A and l = dim L, in closed form: no index is built."""
+        if n < 0:
+            return 0
+        a, l = self.pair.A.dim, self.pair.L.dim
+        tail = n * a ** n if a == l else a * (a ** n - l ** n) // (a - l)
+        return self.module.P_dim * l ** n + self.module.M_dim * tail
 
     # -- the differential --------------------------------------------------
 
@@ -338,14 +404,34 @@ class TotalComplex:
         """(target block, map) for the up and the down map of block b."""
         return zip(self.index(b.p + b.q + 1).blocks[b.q:], self.block_maps(b.p, b.q))
 
+    def _plan(self, n: int):
+        """The block maps of delta^n with their column and row offsets, for
+        ``_assemble``.  Each coordinate of a nonempty block takes at least
+        one index cell, so dim C^n is checked first, before any index."""
+        dim = self.dim(n)
+        if dim > MAX_INDEX_CELLS:
+            raise InputError(
+                f"the degree-{n} differential acts on {_count(dim)} coordinates; "
+                f"assembling it takes at least that many index cells (at least "
+                f"{_count(dim * 8 // 10 ** 6)} MB), above the limit of {MAX_INDEX_CELLS}")
+        return [(m, b.offset, t.offset)
+                for b in self.index(n).blocks for t, m in self._targets(b)]
+
     def triplets(self, n: int) -> _Entries:
         """The entries of delta^n in flat coordinates, one per source basis
         cochain and structure-constant group that hits it; duplicates add."""
         if n not in self._trips:
-            self._trips[n] = _assemble([(m, b.offset, t.offset)
-                                        for b in self.index(n).blocks
-                                        for t, m in self._targets(b)])
+            self._trips[n] = _assemble(self._plan(n))
         return self._trips[n]
+
+    def _int_lines(self, n: int, columns: bool, kept=None):
+        """The rows of D delta^n, or with ``columns`` its columns (empty
+        where the flat mask ``kept`` is not set), as primitive integer
+        dicts; no Fraction is made."""
+        e = _assemble(self._plan(n), ints=True, kept=kept)
+        if columns:
+            return _lines(self.dim(n), e.col, e.row, e.val, self.dim(n + 1), True)
+        return _lines(self.dim(n + 1), e.row, e.col, e.val, self.dim(n), True)
 
     def delta(self, c: TotalCochain) -> dict:
         """delta_tot(c) as {flat degree-(n+1) coordinate: value}, zeros
@@ -395,13 +481,45 @@ class TotalComplex:
     # -- ranks and spaces ----------------------------------------------------
 
     def echelon(self, n: int) -> Echelon:
-        """The row echelon form of delta^n, shared by its rank and kernel."""
+        """The row echelon form of delta^n, for its kernel (``--classes``)."""
         if n not in self._echelons:
-            self._echelons[n] = Echelon(self.dim(n), self.rows(n))
+            self._echelons[n] = Echelon._of_primitive(
+                self.dim(n), self._int_lines(n, columns=False))
         return self._echelons[n]
 
+    def _clear(self, n: int) -> Echelon:
+        """Run the clearing pass up through degree n, recording each rank,
+        and return the echelon of delta^n's columns (it spans im delta^n).
+        A pivot of the column echelon of delta^{k-1} leads a coboundary,
+        which delta^k kills, so that column of delta^k is a combination of
+        later ones: dropping it keeps the rank, and dim H^k of the kept
+        columns reduce to zero.  Only the last degree's pivots are kept."""
+        top, pivots = self._cleared
+        if top >= n:  # the pivots below n are gone: start again at 0
+            top, pivots = -1, []
+        _check_cells(self._plan(n))
+        for k in range(top + 1, n + 1):
+            kept = np.ones(self.dim(k), bool)
+            kept[pivots] = False
+            span = Echelon._of_primitive(self.dim(k + 1),
+                                         self._int_lines(k, True, kept))
+            if kept.sum() < span.rank:
+                raise InternalError(f"more pivots than kept columns in the "
+                                    f"degree-{k} differential")
+            self._ranks[k], pivots = span.rank, np.fromiter(span._pivots, np.int64)
+            self._cleared = (k, pivots)
+        return span
+
     def rank(self, n: int) -> int:
-        return self.echelon(n).rank if n >= 0 else 0
+        """rank delta^n: from the echelon of its kernel if one was built,
+        otherwise from the clearing pass."""
+        if n < 0:
+            return 0
+        if n in self._echelons:
+            return self._echelons[n].rank
+        if n not in self._ranks:
+            self._clear(n)
+        return self._ranks[n]
 
     def kernel(self, n: int):
         """A basis of ker delta^n as sparse {col: Fraction} vectors (see
@@ -417,13 +535,15 @@ class TotalComplex:
         """One total cochain per cohomology class generator in degree n.
 
         Kernel vectors are kept when they enlarge an echelon seeded with the
-        columns of delta^{n-1}, so the returned cochains are independent
-        modulo coboundaries; no canonical-form claim beyond that.
+        clearing pass's echelon of the columns of delta^{n-1}, so the
+        returned cochains are independent modulo coboundaries; no
+        canonical-form claim beyond that.
         """
+        self.echelon(n)  # rank delta^n is read from the echelon of the kernel
+        span = self._clear(n - 1) if n > 0 else Echelon(self.dim(n))
         want = self.cohomology_dim(n)
         if want == 0:
             return []
-        span = Echelon(self.dim(n), self.columns(n - 1) if n > 0 else ())
         reps = []
         for v in self.kernel(n):
             if span.add(v):
@@ -503,17 +623,17 @@ def is_coboundary(c: TotalCochain, pair: CourantPair, module: CPModule = None):
 # CLI's column views)
 # ---------------------------------------------------------------------------
 
-def _axis_map(column, n, pair, module):
+def _axis_map(column, n, pair, module, ints=False):
     """The degree-n differential of the q = 0 row ("hochschild", the up
     map of C^{n,0}) or of the p = 0 column ("leibniz", the down map of
-    C^{0,n}), with its entries."""
+    C^{0,n}), with its entries (exact, or D times those with ``ints``)."""
     if n < 0:
         raise InputError(f"{'p' if column == 'hochschild' else 'q'} "
                          f"must be nonnegative")
     up, down = total_complex(pair, module).block_maps(
         *((n, 0) if column == "hochschild" else (0, n)))
     m = up if column == "hochschild" else down
-    return m, _assemble([(m, 0, 0)])
+    return m, _assemble([(m, 0, 0)], ints)
 
 
 def row_delta_matrix(p: int, pair: CourantPair, module: CPModule = None) -> Matrix:
@@ -539,6 +659,8 @@ def column_delta_matrix(q: int, pair: CourantPair, module: CPModule = None) -> M
 
 def axis_rank(column: str, n: int, pair: CourantPair, module: CPModule = None) -> int:
     """Rank of the degree-n ``row_delta_matrix`` (column "hochschild") or
-    ``column_delta_matrix`` (column "leibniz"), eliminated sparsely."""
-    m, e = _axis_map(column, n, pair, module)
-    return rank(_lines(m.tsize, e.row, e.col, e.val, m.size), m.size)
+    ``column_delta_matrix`` (column "leibniz"), eliminated sparsely from
+    its primitive integer rows."""
+    m, e = _axis_map(column, n, pair, module, ints=True)
+    return Echelon._of_primitive(
+        m.size, _lines(m.tsize, e.row, e.col, e.val, m.size, True)).rank

@@ -15,6 +15,10 @@ elimination only; the reduced row echelon form (RREF) is built only when a
 kernel is asked for, and a solution only back-substitutes.  These two are
 the only places that divide, by the leading entries of pivot rows.
 
+``Echelon(ncols, rows)`` makes each rational row primitive (``_primitive``);
+``Echelon._of_primitive`` takes rows that are primitive integer dicts
+already, as the total complex's integer intake makes them, untouched.
+
 Pivots are always leftmost columns, so the pivot columns and the RREF
 depend only on the row space, not on the order rows are inserted in.  The
 kernel basis and the free-variables-zero solution are therefore canonical."""
@@ -156,9 +160,15 @@ def _primitive(entries) -> dict:
     if not r:
         return r
     den = lcm(*[x.denominator for x in r.values()])
-    r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+    return _content_free({j: x.numerator * (den // x.denominator)
+                          for j, x in r.items()}, min(r))
+
+
+def _content_free(r: dict, lead) -> dict:
+    """The nonzero integer row r divided by its content, with the sign that
+    makes its entry at the leading column ``lead`` positive."""
     g = gcd(*r.values())
-    if r[min(r)] < 0:
+    if r[lead] < 0:
         g = -g
     return r if g == 1 else {j: x // g for j, x in r.items()}
 
@@ -197,6 +207,16 @@ class Echelon:
         for r in sorted((_primitive(_entries(r, ncols)) for r in rows), key=len):
             self._insert(r)
 
+    @classmethod
+    def _of_primitive(cls, ncols: int, rows):
+        """The echelon of rows that are primitive integer ``{col: int}``
+        dicts with positive leading entries already, inserted as they are
+        (no check, no copy: the rows are reduced in place)."""
+        e = cls(ncols)
+        for r in sorted(rows, key=len):
+            e._insert(r)
+        return e
+
     @property
     def rank(self) -> int:
         return len(self._pivots)
@@ -217,7 +237,7 @@ class Echelon:
         col = self._reduce(r)
         if col is None:
             return False
-        self._pivots[col] = _primitive(r.items())
+        self._pivots[col] = _content_free(r, col)
         return True
 
     def add(self, row) -> bool:
@@ -234,7 +254,7 @@ class Echelon:
             r = dict(self._pivots[col])
             for k in [k for k in r if k in red]:
                 _eliminate(r, k, red[k])
-            red[col] = _primitive(r.items())
+            red[col] = _content_free(r, col)
         return red
 
     def sparse_kernel(self):

@@ -159,6 +159,25 @@ def test_oversized_differential_is_exit_2(tmp_path, hemi, capsys, column,
         assert "above the limit" in err and "MB" in err
 
 
+@pytest.mark.parametrize("name, extra", [
+    ("hemisemidirect_demo", ()), ("hemisemidirect_demo", ("--classes",)),
+    ("dual_numbers_line", ("--column", "leibniz")),
+    ("dual_numbers_line", ("--column", "hochschild"))])
+def test_astronomical_degree_is_exit_2(tmp_path, capsys, name, extra):
+    """Degree 100000 is refused from counts in closed form, before any
+    index or term table of that degree is built: dim C^n for the total
+    complex, the number of terms for the one-dimensional bracket of
+    dual_numbers_line, whose blocks stay small."""
+    doc = documents.pair_to_document(catalog.get(name).pair)
+    path = write_doc(tmp_path, "pair.json", doc)
+    t0 = time.perf_counter()
+    assert main(["cohomology", path, "--degree", "100000", "--force",
+                 *extra]) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert "degree-100000 differential" in err and "Traceback" not in err
+
+
 def test_cohomology_refuses_an_invalid_pair(tmp_path, heis, capsys):
     """Swapping mu[0] and mu[1] breaks the anchor homomorphism; the
     cohomology of such data is meaningless (it came out negative)."""

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,3 +145,13 @@ def test_total_delta_squares_to_zero_heis(seed, n):
     rng = random.Random(seed)
     c = rand_total(rng, pair, n)
     assert total_delta(total_delta(c, pair), pair).is_zero()
+
+
+def test_cochain_copies_the_callers_array(heis):
+    """A cochain keeps a read-only copy: the caller's array stays writeable,
+    and later writes to it do not reach the cochain."""
+    arr = np.full((3, 3), F(0), dtype=object)
+    c = Cochain(1, 0, arr)
+    assert arr.flags.writeable and not c.coeffs.flags.writeable
+    arr[0, 0] = F(5)
+    assert c.is_zero() and c.coeffs[0, 0] == 0

@@ -19,10 +19,10 @@ from cpair.cohomology import (TotalComplex, _assemble, cohomology_basis,
                               total_complex, total_delta_matrix,
                               total_space_dim)
 from cpair.errors import InputError, InternalError
-from cpair.linalg import Matrix, rank
+from cpair.linalg import Echelon, Matrix, _primitive, rank
 from cpair.structures import (AssocAlgebra, CourantPair, CPModule,
                               LeibnizAlgebra, adjoint_module, tensor,
-                              zero_tensor)
+                              validate_module, zero_tensor)
 
 F = Fraction
 
@@ -333,3 +333,130 @@ def test_pinned_entry_counts(name, counts):
     scatter counted them (the benchmark's ``cohomology.nnz`` reads this)."""
     tc = TotalComplex(catalog.get(name).pair)
     assert tuple(len(tc.triplets(n)) for n in range(len(counts))) == counts
+
+
+# ---------------------------------------------------------------------------
+# the clearing pass and its integer intake against the row echelons
+# ---------------------------------------------------------------------------
+
+def _change_axis(t, axis, mat):
+    """t with its index i on ``axis`` replaced by j, summed against mat[i, j]."""
+    return np.moveaxis(np.tensordot(t, mat, axes=([axis], [0])), -1, axis)
+
+
+def _doubled_module_pair():
+    """heisenberg with M = A + A and P = L + L, the adjoint module twice, in
+    bases mixed by rational unitriangular matrices: a valid module that is
+    not the adjoint one, with fractional constants, read back from its
+    document.  Its cohomology is twice the adjoint one."""
+    heis = catalog.get("heisenberg").pair
+    adj = adjoint_module(heis)
+
+    def change(mix):
+        """(S, S^-1 transposed) for S = [[I, mix], [0, I]]."""
+        s, s_inv = (np.eye(6, dtype=int).astype(object) for _ in range(2))
+        s[:3, 3:], s_inv[:3, 3:] = mix, -mix
+        return s, s_inv.T
+
+    def doubled(t, axes):
+        """The direct sum of t with itself along ``axes``."""
+        d = np.full([2 * n if a in axes else n for a, n in enumerate(t.shape)],
+                    F(0), dtype=object)
+        for half in (0, 1):
+            d[tuple(slice(half * n, (half + 1) * n) if a in axes else slice(None)
+                    for a, n in enumerate(t.shape))] = t
+        return d
+
+    mixes = {"M": np.array([[F(1, 2), 0, -1], [0, F(2, 3), 0], [1, 0, F(1, 3)]],
+                           dtype=object),
+             "P": np.array([[0, F(-3, 2), 0], [F(1, 4), 0, 2], [0, 1, 0]],
+                           dtype=object)}
+    changes = {k: change(v) for k, v in mixes.items()}
+    # tensor: (input space, input axis, output space); the output is last
+    layout = {"left_act": ("M", 1, "M"), "right_act": ("M", 0, "M"),
+              "M_left": ("M", 1, "M"), "M_right": ("M", 0, "M"),
+              "P_left": ("P", 1, "P"), "P_right": ("P", 0, "P"),
+              "phi": ("P", 0, "M")}
+    tensors = {}
+    for name, (src, axis, dst) in layout.items():
+        t = doubled(getattr(adj, name), (axis, 2))
+        t = _change_axis(t, axis, changes[src][0])
+        tensors[name] = _change_axis(t, 2, changes[dst][1])
+    module = CPModule(6, 6, **tensors)
+    assert validate_module(heis, module).ok
+    return documents.pair_from_document(documents.pair_to_document(heis, module))
+
+
+_CLEARING_CASES = [("heisenberg", 5), ("hemisemidirect_demo", 4),
+                   ("dual_numbers_line", 6), ("doubled module", 3)]
+
+
+def _clearing_case(name):
+    if name == "doubled module":
+        return TotalComplex(*_doubled_module_pair())
+    return TotalComplex(catalog.get(name).pair)
+
+
+@pytest.mark.parametrize("name, top", _CLEARING_CASES)
+def test_clearing_ranks_match_the_row_echelons(name, top):
+    """The clearing pass over the integer columns gives every rank that
+    ``linalg.rank`` gives on the exact rows of the same differential, and
+    the closed-form dim C^n is that of the flat index."""
+    tc = _clearing_case(name)
+    ranks = [tc.rank(k) for k in range(top + 1)]
+    assert ranks == [rank(tc.rows(k), tc.dim(k)) for k in range(top + 1)]
+    assert [tc.dim(k) for k in range(top + 2)] == \
+        [tc.index(k).total_dim for k in range(top + 2)]
+    if name == "doubled module":
+        assert [tc.cohomology_dim(k) for k in range(top + 1)] == [2, 6, 12, 26]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in _CLEARING_CASES])
+def test_integer_lines_are_the_primitive_exact_lines(name):
+    """Each integer row and column of D delta^n is the primitive form of
+    the exact one (``linalg._primitive``, the rational intake): a nonzero
+    multiple of it, positive at its first column, made of Python ints."""
+    tc = _clearing_case(name)
+    for n in range(4):
+        for columns, exact in ((False, tc.rows(n)), (True, tc.columns(n))):
+            ints = tc._int_lines(n, columns)
+            assert ints == [_primitive(e.items()) for e in exact]
+            assert all(type(v) is int for i in ints for v in i.values())
+        for e in (tc._clear(n), tc.echelon(n)):  # pivot rows too
+            assert all(type(v) is int for r in e._pivots.values()
+                       for v in r.values())
+
+
+def test_clearing_checks_kept_against_rank(heis, monkeypatch):
+    """More pivots than kept columns would make dim H negative; the pass
+    raises InternalError instead (not an assert, which -O strips)."""
+    tc = TotalComplex(heis)
+    monkeypatch.setattr(Echelon, "rank", property(lambda self: 10 ** 6))
+    with pytest.raises(InternalError, match="kept columns in the degree-0"):
+        tc.rank(1)
+
+
+def test_clearing_keeps_only_the_next_pivots(heis):
+    """After the pass only the last degree's pivots and the ranks are
+    kept: no triplets, rows, columns or echelons of the degrees below."""
+    tc = TotalComplex(heis)
+    assert tc.cohomology_dim(4) == 28
+    top, pivots = tc._cleared
+    assert top == 4 and len(pivots) == tc.rank(4)
+    assert not (tc._trips or tc._rows or tc._cols or tc._echelons)
+
+
+def test_integer_lines_fall_back_to_python_ints():
+    """Sums that could leave int64 are taken over Python ints, and huge
+    values go through as they are: the lines match those of the same
+    entries as Fractions."""
+    major = np.array([0, 0, 0, 1, 1], np.int64)
+    minor = np.array([2, 2, 2, 0, 1], np.int64)
+    big = 2 ** 62 - 1  # fits int64, but three of them do not
+    for vals in ([big, big, big, -6, 4],
+                 [3 ** 50, -(3 ** 49), 2 ** 70, -(2 ** 71), 2]):
+        small = all(abs(v) < 2 ** 62 for v in vals)
+        val = np.array(vals, np.int64 if small else object)
+        exact = cohomology._lines(2, major, minor, np.array(vals, object), 3)
+        assert cohomology._lines(2, major, minor, val, 3, primitive=True) == \
+            [_primitive(e.items()) for e in exact]
